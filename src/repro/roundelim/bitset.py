@@ -16,7 +16,10 @@ arrays:
   per-label neighbor tables (degree 2) and pair tables (degree 3);
 * label domination (:func:`domination_matrix`) packs configurations into
   base-``n`` integers and answers every ``(strong, weak)`` pair with sorted
-  ``np.isin`` membership — exact, no hashing.
+  ``np.isin`` membership — exact, no hashing;
+* the maximal-box enumeration behind the ``R̄`` universe
+  (:func:`box_components`) runs over Python-int masks at any node degree,
+  one memoized completion-table fold per box side.
 
 Fidelity contract
 -----------------
@@ -29,18 +32,21 @@ and budget verdicts are bit-identical to the pure-Python oracle.  The
 differential harness (``tests/test_bitset_differential.py``) enforces this
 across the catalog and fuzzed problems.
 
-Every unsupported shape — more than 64 base labels, node degrees above 3,
-oversized universes — raises :exc:`BitsetUnsupported` *before* any budget
+Every unsupported shape — more than 64 base labels, node degrees above 3
+(power problem only), oversized universes — raises :exc:`BitsetUnsupported` *before* any budget
 or stats mutation, so :mod:`repro.roundelim.ops` can fall back to the
 oracle cleanly (counted per-operator as ``bitset_fallbacks``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import itertools
+import math
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.exceptions import ProblemDefinitionError
 from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.utils import budget as budget_scope
 from repro.utils import cache as operator_cache
@@ -318,8 +324,6 @@ def power_problem(
 
 
 def _combinations_with_replacement_count(m: int, degree: int) -> int:
-    import math
-
     return math.comb(m + degree - 1, degree)
 
 
@@ -525,75 +529,104 @@ def _accumulate_violations(
 
 
 # ------------------------------------------------------- universe generation
-def compiled_box_checker(problem: NodeEdgeCheckableLCL, degree: int):
-    """Vectorized, exact ``is_box`` for the maximal-box BFS of ``R̄``.
+def box_components(
+    problem: NodeEdgeCheckableLCL, degree: int, max_boxes: int
+) -> Set[FrozenSet[Any]]:
+    """Components of the maximal boxes of ``N^degree``, in mask space.
 
-    Returns a predicate over tuples of label sets that matches the
-    oracle's ``all(Multiset(sel) in allowed for sel in product(*sets))``
-    — including its budget tick of the full selection count — but packs
-    every selection into a base-``n`` integer and answers with one sorted
-    membership probe instead of per-selection ``Multiset`` construction.
+    Compiled equivalent of the oracle
+    :func:`repro.roundelim.universe._box_components_general`: the same BFS
+    from the singleton boxes of the allowed configurations, one label
+    added to one side per step, with the same ``max_boxes`` cap and error
+    message.  A box is a sorted tuple of Python-int label masks (the
+    dedup key only; just the decoded component set leaves this function,
+    so the key order never reaches a result).
+
+    Instead of one probe per candidate, a *completion table* maps each
+    sorted ``(degree-1)``-tuple of label indices to the mask of labels
+    completing it to an allowed configuration, and the labels that extend
+    side ``p`` of a box are one AND of ``completion[s]`` over ``s`` in the
+    product of the other sides — memoized per ``others`` tuple, since
+    boxes sharing all but one side recur constantly.
+
+    Budget ticks mirror the oracle's per-candidate amounts (the full
+    selection count of every candidate not already seen), summed into one
+    tick per popped box; totals agree on every completed enumeration.
+    Raises :exc:`BitsetUnsupported` (before any tick) past 64 labels.
     """
-    allowed = problem.node_constraints.get(degree, frozenset())
     codec = BitsetUniverse(problem.sigma_out)
-    n = len(codec)
-    if degree == 3:
-        # Dominant case (trees): one fancy-indexed slice of the L x L
-        # triple table answers all |A1| x |A2| x |A3| selections — a box
-        # iff mask(A3) is inside table[x, y] for every x in A1, y in A2.
-        table = _triple_table(allowed, codec)
+    allowed = problem.node_constraints.get(degree, frozenset())
+    completion: Dict[Tuple[int, ...], int] = {}
+    seeds: Set[Tuple[int, ...]] = set()
+    for configuration in allowed:
+        indices = sorted(codec.index[x] for x in configuration.items)
+        seeds.add(tuple(1 << i for i in indices))
+        for position in range(degree):
+            rest = tuple(indices[:position] + indices[position + 1 :])
+            completion[rest] = completion.get(rest, 0) | (1 << indices[position])
 
-        def is_box(sets: Tuple[FrozenSet[Any], ...]) -> bool:
-            first, second, third = sets
-            size = len(first) * len(second) * len(third)
-            budget_scope.tick(size)
-            if size == 0:
-                return True
-            third_mask = np.uint64(codec.encode(third))
-            sub = table[
-                np.ix_(
-                    [codec.index[x] for x in first],
-                    [codec.index[y] for y in second],
-                )
-            ]
-            return bool(((third_mask & ~sub) == 0).all())
+    members: Dict[int, Tuple[int, ...]] = {}
 
-        return is_box
+    def bits(mask: int) -> Tuple[int, ...]:
+        indices = members.get(mask)
+        if indices is None:
+            indices = members[mask] = tuple(
+                i for i in range(len(codec)) if (mask >> i) & 1
+            )
+        return indices
 
-    if max(n, 2) ** degree >= 2**63:
-        raise BitsetUnsupported(
-            f"degree-{degree} selections over {n} labels overflow the packing word"
-        )
-    base = np.int64(max(n, 2))
-    powers = base ** np.arange(degree, dtype=np.int64)
-    if allowed:
-        indexed = np.array(
-            [[codec.index[x] for x in configuration.items] for configuration in allowed],
-            dtype=np.int64,
-        )
-        packed_allowed = np.sort(np.sort(indexed, axis=1) @ powers)
-    else:
-        packed_allowed = np.zeros(0, dtype=np.int64)
+    extensions: Dict[Tuple[int, ...], int] = {}
 
-    def is_box(sets: Tuple[FrozenSet[Any], ...]) -> bool:
-        size = 1
-        for component in sets:
-            size *= len(component)
-        budget_scope.tick(size)
-        if size == 0:
-            return True
-        if packed_allowed.shape[0] == 0:
-            return False
-        axes = [
-            np.array([codec.index[x] for x in component], dtype=np.int64)
-            for component in sets
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        selections = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-        selections.sort(axis=1)
-        return bool(_sorted_membership(packed_allowed, selections @ powers).all())
+    def extension(others: Tuple[int, ...]) -> int:
+        """Labels ``x`` with every ``s + (x,)``, ``s ∈ product(others)``, allowed."""
+        mask = extensions.get(others)
+        if mask is None:
+            mask = codec.full_mask
+            for selection in itertools.product(*(bits(side) for side in others)):
+                mask &= completion.get(tuple(sorted(selection)), 0)
+                if not mask:
+                    break
+            extensions[others] = mask
+        return mask
 
-    return is_box
+    seen = set(seeds)
+    frontier = sorted(seeds)
+    maximal: Set[int] = set()
+    labels = len(codec)
+    while frontier:
+        box = frontier.pop()
+        sizes = [len(bits(side)) for side in box]
+        selections = math.prod(sizes)
+        ticks = 0
+        extended = False
+        for position, side in enumerate(box):
+            others = box[:position] + box[position + 1 :]
+            grown = extension(others) & ~side
+            candidate_size = selections + selections // sizes[position]
+            # A label outside `grown` yields a non-box, which is never in
+            # `seen`, so the oracle probes (and ticks) it every time.
+            ticks += (labels - sizes[position] - bin(grown).count("1")) * candidate_size
+            if grown:
+                extended = True
+            while grown:
+                bit = grown & -grown
+                grown ^= bit
+                candidate = tuple(sorted(others + (side | bit,)))
+                if candidate in seen:
+                    continue
+                ticks += candidate_size
+                if len(seen) >= max_boxes:
+                    budget_scope.tick(ticks)
+                    raise ProblemDefinitionError(
+                        f"box enumeration for {problem.name} (degree {degree}) "
+                        f"exceeds {max_boxes} boxes"
+                    )
+                seen.add(candidate)
+                frontier.append(candidate)
+        budget_scope.tick(ticks)
+        if not extended:
+            maximal.update(box)
+    return {codec.decode(mask) for mask in maximal}
 
 
 def pair_neighbor_sets(problem: NodeEdgeCheckableLCL) -> Dict[Any, FrozenSet[Any]]:

@@ -66,8 +66,10 @@ alphabet, and budget charges fire identically — so hashes, cache keys,
 and certificates do not depend on which backend answered
 (``tests/test_bitset_differential.py`` enforces this bit-for-bit).
 ``REPRO_BITSET=0`` or :func:`configure_bitset` forces the oracle;
-out-of-range inputs (wide alphabets, degree ≥ 4 boxes) fall back
-automatically and are counted as ``bitset_fallbacks`` in the stats.
+out-of-range inputs (alphabets past 64 labels; node degrees ≥ 4, which
+only the power-problem kernels decline — universe box enumeration is
+compiled at every degree) fall back automatically and are counted as
+``bitset_fallbacks`` in the stats.
 
 Robustness
 ----------
@@ -441,7 +443,8 @@ def _run_chunks(
       (``chunk_retries`` rounds with exponential backoff);
     * a chunk exceeds the per-chunk timeout → ``chunk_timeouts``; the
       pool is presumed wedged, recycled, and the chunk retried;
-    * a dead worker breaks the pool (``BrokenProcessPool``) →
+    * a dead worker breaks the pool (``BrokenProcessPool``), whether
+      while chunks are being submitted or while they are awaited →
       ``chunk_failures``; the pool is rebuilt and the chunks retried;
     * chunks still failing after all retries → ``serial_rescues`` + exact
       in-process re-execution of only those chunks.
@@ -459,9 +462,25 @@ def _run_chunks(
     attempt = 0
     try:
         while pool is not None and pending:
-            futures = {index: pool.submit(worker_fn, chunks[index]) for index in pending}
+            futures: Dict[int, Any] = {}
             failed: List[int] = []
             broken = False
+            for position, index in enumerate(pending):
+                try:
+                    futures[index] = pool.submit(worker_fn, chunks[index])
+                except BrokenExecutor as error:
+                    # A worker died while chunks were still being handed
+                    # out: same recovery as a break observed while waiting.
+                    operator_cache.record(stat_key, chunk_failures=1)
+                    logger.warning(
+                        "%s: worker pool broke submitting chunk %d (%s); rebuilding",
+                        stat_key,
+                        index,
+                        error,
+                    )
+                    failed.extend(pending[position:])
+                    broken = True
+                    break
             for index, future in futures.items():
                 if broken:
                     # The pool is suspect: harvest already-finished chunks
@@ -501,7 +520,7 @@ def _run_chunks(
                     )
                     failed.append(index)
                 budget_scope.check()
-            pending = failed
+            pending = sorted(failed)
             if broken:
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = None

@@ -51,11 +51,11 @@ from repro.utils.multiset import label_sort_key
 def _bitset_backend():
     """The compiled backend (see :mod:`repro.roundelim.bitset`), or ``None``.
 
-    Universe generation is shared by both engine backends, but its inner
-    predicates (box checks, neighbor tables) are *pure* — accelerating
-    them cannot change which universe is produced — so they may borrow the
-    compiled kernels whenever ``REPRO_BITSET`` allows.  With the knob off
-    this module stays entirely pure-Python.
+    Universe generation is shared by both engine backends, but its box
+    enumeration and neighbor tables are *pure* functions of the problem —
+    accelerating them cannot change which universe is produced — so they
+    may borrow the compiled kernels whenever ``REPRO_BITSET`` allows.  With
+    the knob off this module stays entirely pure-Python.
     """
     from repro.roundelim.ops import _bitset_backend as resolve
 
@@ -244,9 +244,12 @@ def _box_components_general(
 ) -> Set[FrozenSet[Any]]:
     """Components of maximal boxes for ``degree >= 3`` via bounded BFS.
 
-    Exact (all maximal boxes are visited) but exponential in the worst
-    case; guarded by ``max_boxes``.  The tree problems exercised at
-    ``Δ >= 3`` have small alphabets, for which this is fast.
+    The pure-Python oracle for :func:`repro.roundelim.bitset.box_components`,
+    which answers instead whenever the compiled backend is on (the
+    differential harness holds the two equal).  Exact (all maximal boxes
+    are visited) but exponential in the worst case; guarded by
+    ``max_boxes``.  The tree problems exercised at ``Δ >= 3`` have small
+    alphabets, for which this is fast.
     """
     allowed = problem.node_constraints.get(degree, frozenset())
     labels = sorted(problem.sigma_out, key=label_sort_key)
@@ -254,21 +257,12 @@ def _box_components_general(
     from repro.utils.multiset import Multiset
     import itertools as it
 
-    is_box = None
-    backend = _bitset_backend()
-    if backend is not None:
-        try:
-            is_box = backend.compiled_box_checker(problem, degree)
-        except backend.BitsetUnsupported:
-            is_box = None
-    if is_box is None:
-
-        def is_box(sets: Tuple[FrozenSet[Any], ...]) -> bool:
-            size = 1
-            for component in sets:
-                size *= len(component)
-            budget_scope.tick(size)
-            return all(Multiset(sel) in allowed for sel in it.product(*sets))
+    def is_box(sets: Tuple[FrozenSet[Any], ...]) -> bool:
+        size = 1
+        for component in sets:
+            size *= len(component)
+        budget_scope.tick(size)
+        return all(Multiset(sel) in allowed for sel in it.product(*sets))
 
     # label_sort_key recurses through nested frozensets, and the BFS below
     # canonicalizes degree * |labels| candidate boxes per popped box — the
@@ -329,7 +323,9 @@ def box_components(
     A box is a tuple ``(A_1, …, A_d)`` of label sets whose every selection
     is an allowed node configuration; boxes are exactly the allowed node
     configurations of ``R̄`` (Definition 3.2), and every allowed
-    configuration is componentwise contained in a maximal box.
+    configuration is componentwise contained in a maximal box.  Degrees
+    ``>= 3`` run the compiled mask-space BFS when the backend is on, and
+    the pure-Python oracle otherwise (or past 64 labels).
     """
     if degree == 1:
         singles = frozenset(
@@ -340,6 +336,12 @@ def box_components(
         return {singles} if singles else set()
     if degree == 2:
         return _box_components_degree_two(problem, max_boxes)
+    backend = _bitset_backend()
+    if backend is not None:
+        try:
+            return backend.box_components(problem, degree, max_boxes)
+        except backend.BitsetUnsupported:
+            pass
     return _box_components_general(problem, degree, max_boxes)
 
 

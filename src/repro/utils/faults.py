@@ -139,6 +139,13 @@ class InjectedFault(RuntimeError):
         self.kind = kind
         self.occurrence = occurrence
 
+    def __reduce__(self):
+        # A pool worker's exception is pickled back to the parent; the
+        # default reduction replays only the message and cannot rebuild
+        # this signature, which breaks the whole pool instead of failing
+        # one chunk.
+        return (type(self), (self.kind, self.occurrence))
+
 
 def parse_spec(text: str) -> Dict[str, float]:
     """Parse ``kind:rate,kind:rate`` into a rate table (strict)."""

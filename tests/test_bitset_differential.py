@@ -297,6 +297,131 @@ class TestEngineAccounting:
         assert counters["R"]["bitset_steps"] >= 1
 
 
+#: Box cap for the universe-layer differential (the production default).
+BOX_CAP = 4096
+
+#: ``R(p)`` cases that take more than ~4 s on one core: oracle cap trips,
+#: where the pure-Python BFS probes thousands of boxes before giving up,
+#: and ``R(5-coloring)`` at degree 4, whose ``R`` alone takes ~8 s.  They
+#: run with the fuzz sweep (``-m fuzz``).
+DEEP_BOX_CASES = {
+    (3, "4-coloring", 3),
+    (3, "weak-2-coloring", 3),
+    (4, "5-coloring", 3),
+    (4, "5-coloring", 4),
+    (4, "7-edge-coloring", 3),
+    (4, "7-edge-coloring", 4),
+    (4, "weak-2-coloring", 3),
+    (4, "weak-2-coloring", 4),
+    (4, "echo", 4),
+}
+
+
+def _box_cases():
+    """``p`` and ``R(p)`` of ``standard_catalog(3|4)`` at every degree >= 3."""
+    cases = []
+    for max_degree in (3, 4):
+        for problem in standard_catalog(max_degree=max_degree):
+            for degree in sorted(problem.node_constraints):
+                if degree < 3:
+                    continue
+                for lifted in (False, True):
+                    deep = lifted and (max_degree, problem.name, degree) in DEEP_BOX_CASES
+                    cases.append(
+                        pytest.param(
+                            max_degree,
+                            problem.name,
+                            lifted,
+                            degree,
+                            id=f"cat{max_degree}-{'R-' if lifted else ''}{problem.name}-deg{degree}",
+                            marks=[pytest.mark.fuzz] if deep else [],
+                        )
+                    )
+    return cases
+
+
+_lifted_problems = {}
+
+
+def _box_problem(max_degree, name, lifted):
+    problem = {p.name: p for p in standard_catalog(max_degree=max_degree)}[name]
+    if not lifted:
+        return problem
+    key = (max_degree, name)
+    if key not in _lifted_problems:
+        _lifted_problems[key] = R(problem, use_cache=False)
+    return _lifted_problems[key]
+
+
+class TickMeter(Budget):
+    """An unlimited budget that sums every ``tick`` amount it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.ticked = 0
+
+    def tick(self, iterations=1):
+        self.ticked += iterations
+        super().tick(iterations)
+
+
+def _box_outcome(enumerate_boxes, problem, degree):
+    meter = TickMeter()
+    with meter:
+        try:
+            return enumerate_boxes(problem, degree, BOX_CAP), meter.ticked
+        except ProblemDefinitionError as error:
+            # Where a cap trip happens depends on BFS order, so the ticks
+            # spent before it may differ; only the message must agree.
+            return str(error), None
+
+
+class TestBoxComponentsDifferential:
+    """The mask-space ``box_components`` kernel against its oracle."""
+
+    @pytest.mark.parametrize(("max_degree", "name", "lifted", "degree"), _box_cases())
+    def test_kernel_matches_oracle(self, max_degree, name, lifted, degree):
+        from repro.roundelim import bitset
+        from repro.roundelim.universe import _box_components_general
+
+        problem = _box_problem(max_degree, name, lifted)
+        oracle = _box_outcome(_box_components_general, problem, degree)
+        kernel = _box_outcome(bitset.box_components, problem, degree)
+        assert kernel == oracle
+
+    def test_dispatch_follows_the_knob(self, monkeypatch):
+        from repro.roundelim import bitset, universe
+
+        problem = dict(CATALOG_PROBLEMS)["mis"]
+        calls = []
+        kernel = bitset.box_components
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(bitset, "box_components", spy)
+        configure_bitset(enabled=False)
+        oracle = universe.box_components(problem, 3, BOX_CAP)
+        assert calls == []
+        configure_bitset(enabled=True)
+        assert universe.box_components(problem, 3, BOX_CAP) == oracle
+        assert len(calls) == 1
+
+    def test_wide_alphabet_falls_back_to_oracle(self):
+        from repro.roundelim import bitset
+        from repro.roundelim.universe import box_components
+
+        # 70 values exceed the 64-bit word; every maximal box of
+        # consensus is one value repeated, so the components are singletons.
+        wide = catalog.consensus(3, values=tuple(f"v{i}" for i in range(70)))
+        with pytest.raises(bitset.BitsetUnsupported):
+            bitset.box_components(wide, 3, BOX_CAP)
+        configure_bitset(enabled=True)
+        expected = {frozenset({value}) for value in wide.sigma_out}
+        assert box_components(wide, 3, BOX_CAP) == expected
+
+
 class TestNonemptySubsetsMemo:
     """Regression guard for the powerset-rebuild perf bug.
 

@@ -9,9 +9,13 @@ checkpoint writes (checksum verification + fresh start).  Failures must
 be *loud* — counted in ``stats()`` and logged — but never change results.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.lcl import catalog
+from repro.roundelim import ops
 from repro.roundelim.ops import R, R_bar, configure_bitset, configure_parallel, simplify
 from repro.roundelim.sequence import ProblemSequence
 from repro.utils import cache as operator_cache
@@ -87,6 +91,18 @@ class TestFaultPlan:
             faults.maybe_crash()
         assert info.value.kind == "worker_crash"
 
+    def test_injected_fault_survives_pickling(self):
+        # Pool workers ship exceptions back pickled; an unpicklable fault
+        # would break the whole pool instead of failing one chunk.
+        import pickle
+
+        fault = pickle.loads(pickle.dumps(InjectedFault("worker_crash", 3)))
+        assert (fault.kind, fault.occurrence, str(fault)) == (
+            "worker_crash",
+            3,
+            str(InjectedFault("worker_crash", 3)),
+        )
+
     def test_env_round_trip(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "cache_corrupt:0.25")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
@@ -94,6 +110,27 @@ class TestFaultPlan:
         plan = faults.get_plan()
         assert plan.rates == {"cache_corrupt": 0.25}
         assert plan.seed == 9
+
+
+def pool_breaking_at_submit(accepted):
+    """A pool class whose workers die after ``accepted`` submissions.
+
+    Models the race where a worker exits while ``_run_chunks`` is still
+    handing out chunks, so ``submit`` itself raises ``BrokenProcessPool``.
+    """
+
+    class BreaksAtSubmit(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submitted = 0
+
+        def submit(self, fn, /, *args, **kwargs):
+            if self.submitted >= accepted:
+                raise BrokenProcessPool("worker exited during submission")
+            self.submitted += 1
+            return super().submit(fn, *args, **kwargs)
+
+    return BreaksAtSubmit
 
 
 class TestChaosParallel:
@@ -153,6 +190,17 @@ class TestChaosParallel:
         rescued = sum(op.get("serial_rescues", 0) for op in operators)
         fell_back = sum(op.get("pool_fallbacks", 0) for op in operators)
         assert rescued + fell_back > 0
+
+    @pytest.mark.parametrize("accepted", [0, 1], ids=["first-submit", "second-submit"])
+    def test_pool_broken_at_submit_identical_results(self, monkeypatch, accepted):
+        problem = catalog.mis(3)
+        expected = self.baseline(problem)
+        monkeypatch.setattr(ops, "ProcessPoolExecutor", pool_breaking_at_submit(accepted))
+        observed = self.chaotic(problem, None)
+        assert observed == expected
+        operators = operator_cache.stats()["operators"].values()
+        assert sum(op.get("chunk_failures", 0) for op in operators) > 0
+        assert sum(op.get("serial_rescues", 0) for op in operators) > 0
 
     def test_slow_chunks_with_tight_timeout_identical_results(self):
         problem = catalog.mis(3)

@@ -5,10 +5,10 @@ tests verify their defining properties on random problems:
 
 * ``closed_universe``: closure is idempotent and extensive; every member
   really is closed; the universe is union-closed (up to closure);
-* ``box_components`` (degree 2 via the concept lattice): every component
-  pairs into a genuine box, and every allowed pair configuration embeds
-  into some maximal box — the completeness property the R̄ reduction
-  rests on.
+* ``box_components`` (degree 2 via the concept lattice, degree 3 via the
+  maximal-box BFS): every component extends into a genuine box, and
+  every allowed configuration embeds into some maximal box — the
+  completeness property the R̄ reduction rests on.
 """
 
 import itertools
@@ -83,47 +83,58 @@ class TestClosedUniverse:
                 assert close(subset) in universe
 
 
+def is_box(problem, sides):
+    """Is every selection of one label per side an allowed configuration?"""
+    return all(
+        problem.allows_node(Multiset(selection))
+        for selection in itertools.product(*sides)
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestBoxComponents:
+    """Degree-2 boxes (concept lattice); the subclass below reruns every
+    check at degree 3 (the BFS behind ``box_components``).  Test names
+    keep their original degree-2 wording."""
+
+    degree = 2
+
     def _problem(self, seed):
-        return random_lcl(seed + 900, num_labels=4, max_degree=2, num_inputs=1)
+        return random_lcl(seed + 900, num_labels=4, max_degree=self.degree, num_inputs=1)
 
     def test_components_pair_into_boxes(self, seed):
         problem = self._problem(seed)
-        components = box_components(problem, degree=2, max_boxes=4096)
+        components = box_components(problem, degree=self.degree, max_boxes=4096)
         for component in components:
-            # The concept-lattice mate of a component is its Galois image;
-            # verify at least one co-component makes an all-allowed box.
+            # Every component is a side of some maximal box, whose other
+            # sides are components too: at least one choice of co-sides
+            # must make an all-allowed box.
             mates = [
-                other
-                for other in components
-                if all(
-                    problem.allows_node(Multiset((x, y)))
-                    for x in component
-                    for y in other
+                others
+                for others in itertools.combinations_with_replacement(
+                    components, self.degree - 1
                 )
+                if is_box(problem, (component,) + others)
             ]
             assert mates or all(
-                not problem.allows_node(Multiset((x, y)))
+                not problem.allows_node(Multiset((x,) + rest))
                 for x in component
-                for y in problem.sigma_out
+                for rest in itertools.combinations_with_replacement(
+                    problem.sigma_out, self.degree - 1
+                )
             )
 
     def test_every_allowed_pair_lies_in_a_box(self, seed):
         problem = self._problem(seed)
-        components = box_components(problem, degree=2, max_boxes=4096)
-        for configuration in problem.node_constraints.get(2, ()):
-            a, b = configuration.items
+        components = box_components(problem, degree=self.degree, max_boxes=4096)
+        for configuration in problem.node_constraints.get(self.degree, ()):
+            candidates = [
+                [component for component in components if label in component]
+                for label in configuration.items
+            ]
             assert any(
-                a in first and b in second
-                and all(
-                    problem.allows_node(Multiset((x, y)))
-                    for x in first
-                    for y in second
-                )
-                for first in components
-                for second in components
-            ), (a, b)
+                is_box(problem, sides) for sides in itertools.product(*candidates)
+            ), configuration.items
 
     def test_degree_one_component(self, seed):
         problem = self._problem(seed)
@@ -132,6 +143,10 @@ class TestBoxComponents:
             (component,) = components
             for label in component:
                 assert problem.allows_node([label])
+
+
+class TestBoxComponentsDegreeThree(TestBoxComponents):
+    degree = 3
 
 
 class TestReducedUniverseGeneral:
