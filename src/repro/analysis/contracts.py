@@ -18,7 +18,8 @@ Everything here is data, not behavior:
   persist a value (``encode*``, ``canonical*``, ``append``ing to a
   journal, ...);
 * **fork entrypoints** — where execution crosses into a forked child
-  (``_run_chunks`` worker slots, the supervisor cell entry);
+  (``@register_runner`` cell runners, the supervisor and scheduler child
+  entries);
 * **engine-freedom frontier** — checker roots, producer exemptions, and
   forbidden engine packages.
 
@@ -198,16 +199,8 @@ ENVIRON_CALLS = frozenset({"os.getenv", "os.environ.get"})
 
 
 # --------------------------------------------------------------------------
-# Fork / pool entrypoints (REP011).
+# Fork entrypoints (REP011).
 # --------------------------------------------------------------------------
-
-#: Call-site shapes whose arguments become fork/pool roots:
-#: name -> 0-based positional indexes shipped to workers (matching
-#: REP004's table for ``_run_chunks``).
-FORK_SUBMIT_NAMES = {"_run_chunks": (1, 3)}
-
-#: Keyword names that carry pool-bound callables at those call sites.
-FORK_SUBMIT_KEYWORDS = frozenset({"worker_fn", "initializer"})
 
 #: Decorator name whose decorated function runs inside a forked
 #: supervisor cell (``@register_runner("name")`` in repro.supervisor).

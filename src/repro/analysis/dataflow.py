@@ -447,28 +447,6 @@ class WholeProgram:
             for decorator in record.decorators:
                 if decorator in contracts.FORK_RUNNER_DECORATORS:
                     add(key, f"@{decorator} cell runner")
-            for call in record.calls:
-                slots: Tuple[int, ...] = ()
-                for candidate in call.candidates:
-                    simple = candidate.rsplit(".", 1)[-1]
-                    if simple in contracts.FORK_SUBMIT_NAMES:
-                        slots = contracts.FORK_SUBMIT_NAMES[simple]
-                        break
-                if not slots:
-                    continue
-                carried: List[DepSet] = [
-                    call.args[slot] for slot in slots if slot < len(call.args)
-                ]
-                carried.extend(
-                    deps
-                    for kwname, deps in call.kwargs.items()
-                    if kwname in contracts.FORK_SUBMIT_KEYWORDS
-                )
-                for deps in carried:
-                    for dep in deps:
-                        if dep[0] == "fref":
-                            for target in self.resolve(dep[1]):
-                                add(target, f"submitted to pool at {record.rel_path}:{call.line}")
         return roots
 
     def _call_reach(

@@ -1,16 +1,15 @@
-"""REP011 — deep fork/pool safety for worker-reachable code.
+"""REP011 — deep fork safety for worker-reachable code.
 
 REP004 checks the *surface* of a pool submission: the callable handed to
-``_run_chunks`` must be a module-level function (picklable under the
-spawn start method).  This rule checks everything *behind* that surface.
-Starting from the fork roots —
+a pool must be a module-level function (picklable under the spawn start
+method).  This rule checks everything *behind* the project's own fork
+boundaries.  Starting from the fork roots —
 
-* callables submitted at a ``_run_chunks`` call site (positional worker
-  slots and the ``worker_fn=`` / ``initializer=`` keywords),
 * ``@register_runner`` cell runners (executed inside the isolated
   supervisor cell subprocess), and
-* the supervisor's child entrypoints themselves
-  (``supervisor.isolation._child_entry`` / ``_execute``) —
+* the supervisor and scheduler child entrypoints themselves
+  (``supervisor.isolation._child_entry`` / ``_execute``,
+  ``scheduler.worker._worker_main``) —
 
 it walks the project call graph and flags, anywhere in the reachable
 set:

@@ -1,17 +1,16 @@
 """REP004 — pool-bound callables must be module-level and picklable.
 
-The hardened worker pools in :mod:`repro.roundelim.ops` ship callables
-to child processes by pickle.  A lambda or a function defined inside
-another function pickles by *qualified name*, which fails at runtime —
-but only on the parallel path, above ``REPRO_PARALLEL_THRESHOLD``, which
-is exactly the path unit tests exercise least.  Worse, under the
-``fork`` start method a closure can *appear* to work while silently
-capturing parent state that diverges on retry.
+Process pools ship callables to child processes by pickle.  A lambda or
+a function defined inside another function pickles by *qualified name*,
+which fails at runtime — but only on the parallel path, which is exactly
+the path unit tests exercise least.  Worse, under the ``fork`` start
+method a closure can *appear* to work while silently capturing parent
+state that diverges on retry.
 
 Flags lambda arguments and nested-function-name arguments in calls to
 pool submission APIs: ``<pool>.submit``, ``apply_async``, ``map_async``,
-``imap`` / ``imap_unordered``, the ``initializer=`` keyword, and this
-repo's own chunk runner ``_run_chunks``.
+``imap`` / ``imap_unordered``, and their ``func=`` / ``initializer=``
+keywords.
 """
 
 from __future__ import annotations
@@ -19,34 +18,22 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Tuple
 
-from repro.analysis.contracts import FORK_SUBMIT_KEYWORDS, FORK_SUBMIT_NAMES
 from repro.analysis.core import FileContext, Finding, Rule, register
 
 _SUBMIT_ATTRS = frozenset(
     {"submit", "apply_async", "map_async", "imap", "imap_unordered"}
 )
-#: name -> 0-based positional indexes that are shipped to workers (shared
-#: with REP011's fork-root discovery via repro.analysis.contracts).  For
-#: ``_run_chunks`` that is ``worker_fn`` and ``initializer`` — its
-#: ``serial_fn`` (index 2) is the *in-process* rescue fallback and is
-#: explicitly allowed to close over local state.
-_SUBMIT_NAMES = FORK_SUBMIT_NAMES
-_CALLABLE_KEYWORDS = frozenset({"func"}) | FORK_SUBMIT_KEYWORDS
+_CALLABLE_KEYWORDS = frozenset({"func", "initializer"})
 
 
 def _callable_args(node: ast.Call) -> Iterator[Tuple[str, ast.expr]]:
     """The (description, expression) pairs of pool-bound callables in a
     submission call, or nothing when the call is not a submission."""
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_ATTRS:
-        indexes: Tuple[int, ...] = (0,)
-    elif isinstance(func, ast.Name) and func.id in _SUBMIT_NAMES:
-        indexes = _SUBMIT_NAMES[func.id]
-    else:
+    if not (isinstance(func, ast.Attribute) and func.attr in _SUBMIT_ATTRS):
         return
-    for index in indexes:
-        if index < len(node.args):
-            yield f"argument {index + 1}", node.args[index]
+    if node.args:
+        yield "argument 1", node.args[0]
     for keyword in node.keywords:
         if keyword.arg in _CALLABLE_KEYWORDS:
             yield f"keyword {keyword.arg!r}", keyword.value

@@ -225,13 +225,11 @@ def cmd_roundelim(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro.exceptions import BudgetExceededError, ProblemDefinitionError
-    from repro.roundelim import ProblemSequence, configure_parallel, find_zero_round_algorithm
+    from repro.roundelim import ProblemSequence, find_zero_round_algorithm
     from repro.utils import cache as operator_cache
 
     if args.no_cache:
         operator_cache.configure(enabled=False)
-    if args.workers is not None:
-        configure_parallel(workers=args.workers)
     operator_cache.reset_stats()
     problem = resolve_problem(args.problem)
     sequence = ProblemSequence(
@@ -431,12 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     roundelim.add_argument(
         "--no-cache", action="store_true", help="bypass the canonical operator cache"
-    )
-    roundelim.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the quantifier loops (default: REPRO_WORKERS)",
     )
     roundelim.add_argument(
         "--no-domination",

@@ -1,12 +1,11 @@
 """Round elimination: R, R̄, problem sequences, 0-round solving, lifting,
 failure-probability bounds, and the Theorem 3.10/3.11 gap pipeline.
 
-The operators are memoized through a canonical-hash cache and can chunk
-their quantifier loops across worker processes — see
+The operators are memoized through a canonical-hash cache — see
 :mod:`repro.roundelim.canonical`, :mod:`repro.utils.cache`, and the
-``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` / ``REPRO_WORKERS`` environment
-knobs documented in :mod:`repro.roundelim.ops`.  ``stats()`` /
-``reset_stats()`` / ``format_stats()`` expose the engine counters.
+``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` environment knobs documented in
+:mod:`repro.roundelim.ops`.  ``stats()`` / ``reset_stats()`` /
+``format_stats()`` expose the engine counters.
 """
 
 from repro.roundelim.canonical import (
@@ -20,7 +19,6 @@ from repro.roundelim.ops import (
     R,
     R_bar,
     configure_bitset,
-    configure_parallel,
     merge_equivalent_labels,
     remove_dominated_labels,
     restrict_to_usable,
@@ -53,7 +51,6 @@ __all__ = [
     "canonical_order",
     "canonically_equal",
     "configure_bitset",
-    "configure_parallel",
     "format_stats",
     "reset_stats",
     "stats",

@@ -35,8 +35,8 @@ Each reduction returns a problem whose solutions are solutions of the
 original (soundness for the Lemma 3.9 lifting) and onto which solutions of
 the original project (completeness for the semidecision procedure).
 
-Memoization and parallelism
----------------------------
+Memoization
+-----------
 ``R``, ``R̄``, and ``simplify`` are pure, deterministic functions of their
 input problem and options, so this module wraps each in the canonical
 operator cache (:mod:`repro.utils.cache` keyed by
@@ -44,15 +44,6 @@ operator cache (:mod:`repro.utils.cache` keyed by
 even under different output label spellings, even in a different process
 when the disk layer is on — is computed once.  Pass ``use_cache=False``
 (or set ``REPRO_CACHE=0``) to force recomputation.
-
-The quantifier loops of the power-set construction (the exponential part)
-additionally chunk across a ``concurrent.futures`` process pool when the
-work is large enough: ``REPRO_WORKERS`` sets the worker count (``1``
-forces serial; unset uses the CPU count, capped), and
-``REPRO_PARALLEL_THRESHOLD`` the minimal number of candidate
-configurations before a pool is spun up — below it, or when a pool
-cannot be created, the loops run serially with identical semantics
-(including the early exits inside each selection check).
 
 Compiled backend
 ----------------
@@ -73,23 +64,12 @@ compiled at every degree) fall back automatically and are counted as
 
 Robustness
 ----------
-The pool execution is *hardened* (see :func:`_run_chunks`): chunks have
-a per-chunk timeout (``REPRO_CHUNK_TIMEOUT``), failed chunks are retried
-with exponential backoff (``REPRO_CHUNK_RETRIES`` rounds), dead workers
-and broken pools are detected and the pool rebuilt, and chunks that
-still fail are re-executed serially in-process — so a worker crash can
-delay a result but never change it or lose it.  Every degradation is
-loud: logged through :mod:`logging` and counted in the per-operator
-stats (``pool_fallbacks``, ``chunk_retries``, ``chunk_timeouts``,
-``chunk_failures``, ``serial_rescues``).
-
-The quantifier loops also poll the ambient cooperative
+The quantifier loops poll the ambient cooperative
 :class:`repro.utils.budget.Budget` (alphabet, configuration-count, and
-wall-clock/RSS limits), so an active budget turns a hopeless operator
-application into a structured
-:class:`~repro.exceptions.BudgetExceededError` instead of a hang, and
-the :mod:`repro.utils.faults` harness can inject deterministic worker
-crashes/exits and slow chunks for chaos testing.
+wall-clock/RSS limits) once per edge-table row and once per node
+combination, so an active budget turns a hopeless operator application
+into a structured :class:`~repro.exceptions.BudgetExceededError` instead
+of a hang.
 """
 
 from __future__ import annotations
@@ -97,11 +77,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ProblemDefinitionError
@@ -114,7 +90,7 @@ from repro.roundelim.canonical import (
 )
 from repro.utils import budget as budget_scope
 from repro.utils import cache as operator_cache
-from repro.utils import env, faults
+from repro.utils import env
 from repro.utils.multiset import Multiset, label_sort_key
 
 logger = logging.getLogger(__name__)
@@ -225,337 +201,6 @@ def _bitset_backend() -> Any:
     return _bitset_module or None
 
 
-# ----------------------------------------------------------- parallel kernel
-_ENV_WORKERS = "REPRO_WORKERS"
-_ENV_THRESHOLD = "REPRO_PARALLEL_THRESHOLD"
-_ENV_CHUNK_TIMEOUT = "REPRO_CHUNK_TIMEOUT"
-_ENV_CHUNK_RETRIES = "REPRO_CHUNK_RETRIES"
-_DEFAULT_THRESHOLD = 20_000
-_MAX_DEFAULT_WORKERS = 8
-_DEFAULT_CHUNK_TIMEOUT = 300.0
-_DEFAULT_CHUNK_RETRIES = 2
-#: First-retry backoff in seconds (doubles per attempt).
-_BACKOFF_BASE = 0.05
-
-#: Programmatic overrides (take precedence over the environment).
-_parallel_overrides: Dict[str, Optional[float]] = {
-    "workers": None,
-    "threshold": None,
-    "chunk_timeout": None,
-    "chunk_retries": None,
-}
-
-
-def configure_parallel(
-    workers: Optional[int] = None,
-    threshold: Optional[int] = None,
-    chunk_timeout: Optional[float] = None,
-    chunk_retries: Optional[int] = None,
-) -> None:
-    """Override the pool knobs for this process.
-
-    ``None`` clears an override (falling back to ``REPRO_WORKERS`` /
-    ``REPRO_PARALLEL_THRESHOLD`` / ``REPRO_CHUNK_TIMEOUT`` /
-    ``REPRO_CHUNK_RETRIES``, then to the defaults).  ``chunk_timeout`` is
-    the per-chunk wall-clock limit in seconds before the chunk is
-    retried (and the suspect pool recycled); ``chunk_retries`` bounds the
-    pool-level retry rounds before failed chunks are re-executed
-    serially in-process.
-    """
-    _parallel_overrides["workers"] = workers
-    _parallel_overrides["threshold"] = threshold
-    _parallel_overrides["chunk_timeout"] = chunk_timeout
-    _parallel_overrides["chunk_retries"] = chunk_retries
-
-
-def _effective(name: str, knob: str, default, cast, floor=None):
-    override = _parallel_overrides[name]
-    if override is not None:
-        value = cast(override)
-        return value if floor is None else max(floor, value)
-    raw = env.get_raw(knob)
-    if raw:
-        try:
-            value = cast(raw)
-            return value if floor is None else max(floor, value)
-        except ValueError:
-            pass
-    return default
-
-
-def _effective_workers() -> int:
-    default = min(os.cpu_count() or 1, _MAX_DEFAULT_WORKERS)
-    return _effective("workers", _ENV_WORKERS, default, int, floor=1)
-
-
-def _effective_threshold() -> int:
-    return _effective("threshold", _ENV_THRESHOLD, _DEFAULT_THRESHOLD, int, floor=1)
-
-
-def _effective_chunk_timeout() -> float:
-    return _effective(
-        "chunk_timeout", _ENV_CHUNK_TIMEOUT, _DEFAULT_CHUNK_TIMEOUT, float, floor=0.001
-    )
-
-
-def _effective_chunk_retries() -> int:
-    return _effective(
-        "chunk_retries", _ENV_CHUNK_RETRIES, _DEFAULT_CHUNK_RETRIES, int, floor=0
-    )
-
-
-# Worker-process state, installed once per pool via the initializer so the
-# (potentially large) constraint tables are pickled once, not per chunk.
-_worker_state: Dict[str, Any] = {}
-
-
-def _node_chunk(
-    combos: List[Tuple[FrozenSet[Any], ...]],
-    allowed: FrozenSet[Multiset],
-    node_forall: bool,
-) -> List[Tuple[FrozenSet[Any], ...]]:
-    """Pure node-constraint filter shared by workers and serial rescue."""
-    check = _all_selections_in if node_forall else _some_selection_in
-    return [combo for combo in combos if check(combo, allowed)]
-
-
-def _edge_chunk(
-    row_range: Tuple[int, int],
-    universe: List[FrozenSet[Any]],
-    summaries: Dict[FrozenSet[Any], frozenset],
-    node_forall: bool,
-) -> List[Tuple[int, int]]:
-    """Pure edge-constraint filter shared by workers and serial rescue."""
-    pairs: List[Tuple[int, int]] = []
-    for i in range(row_range[0], row_range[1]):
-        summary = summaries[universe[i]]
-        for j in range(i, len(universe)):
-            second = universe[j]
-            if node_forall:
-                allowed = bool(summary & second)
-            else:
-                allowed = second <= summary
-            if allowed:
-                pairs.append((i, j))
-    return pairs
-
-
-def _init_node_worker(allowed: FrozenSet[Multiset], node_forall: bool) -> None:
-    # Pool-initializer idiom: these writes happen *inside the child*, after
-    # the fork/spawn, to set up worker-local state for _node_chunk_worker —
-    # the parent's copy is never touched, which is the point.
-    _worker_state["allowed"] = allowed  # repro-lint: disable=REP011 -- child-side init
-    _worker_state["node_forall"] = node_forall  # repro-lint: disable=REP011 -- child-side init
-
-
-def _node_chunk_worker(
-    combos: List[Tuple[FrozenSet[Any], ...]]
-) -> List[Tuple[FrozenSet[Any], ...]]:
-    faults.maybe_exit()
-    faults.maybe_crash()
-    faults.maybe_sleep()
-    return _node_chunk(combos, _worker_state["allowed"], _worker_state["node_forall"])
-
-
-def _init_edge_worker(
-    universe: List[FrozenSet[Any]],
-    summaries: Dict[FrozenSet[Any], frozenset],
-    node_forall: bool,
-) -> None:
-    # Pool-initializer idiom: child-side worker-local state (see
-    # _init_node_worker above).
-    _worker_state["universe"] = universe  # repro-lint: disable=REP011 -- child-side init
-    _worker_state["summaries"] = summaries  # repro-lint: disable=REP011 -- child-side init
-    _worker_state["node_forall"] = node_forall  # repro-lint: disable=REP011 -- child-side init
-
-
-def _edge_chunk_worker(row_range: Tuple[int, int]) -> List[Tuple[int, int]]:
-    faults.maybe_exit()
-    faults.maybe_crash()
-    faults.maybe_sleep()
-    return _edge_chunk(
-        row_range,
-        _worker_state["universe"],
-        _worker_state["summaries"],
-        _worker_state["node_forall"],
-    )
-
-
-def _make_pool(workers: int, initializer, initargs) -> ProcessPoolExecutor:
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        context = multiprocessing.get_context()
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=initializer,
-        initargs=initargs,
-    )
-
-
-def _try_make_pool(
-    workers: int, initializer, initargs, stat_key: str
-) -> Optional[ProcessPoolExecutor]:
-    """Create a pool, or loudly account the fallback and return ``None``."""
-    try:
-        return _make_pool(workers, initializer, initargs)
-    except (OSError, RuntimeError) as error:
-        operator_cache.record(stat_key, pool_fallbacks=1)
-        logger.warning(
-            "%s: process pool unavailable (%s); executing serially", stat_key, error
-        )
-        return None
-
-
-def _chunked(items: List[Any], chunks: int) -> List[List[Any]]:
-    size = max(1, math.ceil(len(items) / max(1, chunks)))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _wait_timeout(chunk_timeout: float) -> float:
-    """Per-future wait: the chunk timeout, shortened so an ambient budget
-    deadline is noticed promptly rather than after a full chunk wait."""
-    budget = budget_scope.active_budget()
-    if budget is not None:
-        remaining = budget.remaining_time()
-        if remaining is not None:
-            return min(chunk_timeout, remaining + 0.05)
-    return chunk_timeout
-
-
-def _run_chunks(
-    chunks: List[Any],
-    worker_fn: Callable[[Any], Any],
-    serial_fn: Callable[[Any], Any],
-    initializer: Callable,
-    initargs: Tuple,
-    workers: int,
-    stat_key: str,
-) -> List[Any]:
-    """Execute ``chunks`` on a hardened process pool, preserving order.
-
-    Failure semantics (all loud — logged and counted in the operator
-    stats, never silent):
-
-    * pool cannot be created → ``pool_fallbacks`` + full serial run;
-    * a chunk raises in a worker → ``chunk_failures``, chunk is retried
-      (``chunk_retries`` rounds with exponential backoff);
-    * a chunk exceeds the per-chunk timeout → ``chunk_timeouts``; the
-      pool is presumed wedged, recycled, and the chunk retried;
-    * a dead worker breaks the pool (``BrokenProcessPool``), whether
-      while chunks are being submitted or while they are awaited →
-      ``chunk_failures``; the pool is rebuilt and the chunks retried;
-    * chunks still failing after all retries → ``serial_rescues`` + exact
-      in-process re-execution of only those chunks.
-
-    The result is therefore always the same list the serial engine would
-    produce; an ambient :class:`~repro.utils.budget.Budget` deadline is
-    still honored between chunk waits.
-    """
-    results: List[Any] = [None] * len(chunks)
-    pending = list(range(len(chunks)))
-    chunk_timeout = _effective_chunk_timeout()
-    max_retries = _effective_chunk_retries()
-    pool = _try_make_pool(workers, initializer, initargs, stat_key)
-    had_pool = pool is not None
-    attempt = 0
-    try:
-        while pool is not None and pending:
-            futures: Dict[int, Any] = {}
-            failed: List[int] = []
-            broken = False
-            for position, index in enumerate(pending):
-                try:
-                    futures[index] = pool.submit(worker_fn, chunks[index])
-                except BrokenExecutor as error:
-                    # A worker died while chunks were still being handed
-                    # out: same recovery as a break observed while waiting.
-                    operator_cache.record(stat_key, chunk_failures=1)
-                    logger.warning(
-                        "%s: worker pool broke submitting chunk %d (%s); rebuilding",
-                        stat_key,
-                        index,
-                        error,
-                    )
-                    failed.extend(pending[position:])
-                    broken = True
-                    break
-            for index, future in futures.items():
-                if broken:
-                    # The pool is suspect: harvest already-finished chunks
-                    # without waiting, re-run the rest.
-                    try:
-                        results[index] = future.result(timeout=0)
-                    except Exception:
-                        failed.append(index)
-                    continue
-                try:
-                    results[index] = future.result(timeout=_wait_timeout(chunk_timeout))
-                except FutureTimeoutError:
-                    budget_scope.check()  # distinguish budget deadline from chunk hang
-                    operator_cache.record(stat_key, chunk_timeouts=1)
-                    logger.warning(
-                        "%s: chunk %d exceeded %.3fs timeout; recycling pool",
-                        stat_key,
-                        index,
-                        chunk_timeout,
-                    )
-                    failed.append(index)
-                    broken = True
-                except BrokenExecutor as error:
-                    operator_cache.record(stat_key, chunk_failures=1)
-                    logger.warning(
-                        "%s: worker pool broke on chunk %d (%s); rebuilding",
-                        stat_key,
-                        index,
-                        error,
-                    )
-                    failed.append(index)
-                    broken = True
-                except Exception as error:
-                    operator_cache.record(stat_key, chunk_failures=1)
-                    logger.warning(
-                        "%s: chunk %d failed in worker (%s)", stat_key, index, error
-                    )
-                    failed.append(index)
-                budget_scope.check()
-            pending = sorted(failed)
-            if broken:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-            if not pending:
-                break
-            if attempt >= max_retries:
-                break
-            attempt += 1
-            operator_cache.record(stat_key, chunk_retries=len(pending))
-            logger.warning(
-                "%s: retrying %d chunk(s), attempt %d/%d",
-                stat_key,
-                len(pending),
-                attempt,
-                max_retries,
-            )
-            time.sleep(_BACKOFF_BASE * (2 ** (attempt - 1)))
-            if pool is None:
-                pool = _try_make_pool(workers, initializer, initargs, stat_key)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-    if pending:
-        if had_pool:
-            operator_cache.record(stat_key, serial_rescues=len(pending))
-            logger.warning(
-                "%s: re-executing %d failed chunk(s) serially in-process",
-                stat_key,
-                len(pending),
-            )
-        for index in pending:
-            results[index] = serial_fn(chunks[index])
-    return results
-
-
 def _power_problem(
     problem: NodeEdgeCheckableLCL,
     node_forall: bool,
@@ -599,8 +244,6 @@ def _power_problem(
                 why,
             )
 
-    workers = _effective_workers()
-    threshold = _effective_threshold()
     configurations_tested = 0
     budget_scope.note_alphabet(len(universe))
     budget_scope.check()
@@ -619,36 +262,16 @@ def _power_problem(
     pair_count = len(universe) * (len(universe) + 1) // 2
     configurations_tested += pair_count
     budget_scope.charge(pair_count)
-    if workers > 1 and pair_count >= threshold:
-        row_ranges = [
-            (chunk[0], chunk[-1] + 1)
-            for chunk in _chunked(list(range(len(universe))), 4 * workers)
-        ]
-        chunk_results = _run_chunks(
-            row_ranges,
-            _edge_chunk_worker,
-            lambda row_range: _edge_chunk(row_range, universe, summaries, node_forall),
-            _init_edge_worker,
-            (universe, summaries, node_forall),
-            workers,
-            name_prefix,
-        )
-        edge_configurations = [
-            Multiset((universe[i], universe[j]))
-            for chunk in chunk_results
-            for i, j in chunk
-        ]
-    else:
-        edge_configurations = []
-        for i, first in enumerate(universe):
-            budget_scope.tick(len(universe) - i)
-            for second in universe[i:]:
-                if node_forall:
-                    allowed = bool(summaries[first] & second)
-                else:
-                    allowed = second <= summaries[first]
-                if allowed:
-                    edge_configurations.append(Multiset((first, second)))
+    edge_configurations = []
+    for i, first in enumerate(universe):
+        budget_scope.tick(len(universe) - i)
+        for second in universe[i:]:
+            if node_forall:
+                allowed = bool(summaries[first] & second)
+            else:
+                allowed = second <= summaries[first]
+            if allowed:
+                edge_configurations.append(Multiset((first, second)))
 
     # --- node constraint ---------------------------------------------------
     node_check: Callable = _all_selections_in if node_forall else _some_selection_in
@@ -659,31 +282,10 @@ def _power_problem(
             combo_count = math.comb(len(universe) + degree - 1, degree)
             configurations_tested += combo_count
             budget_scope.charge(combo_count)
-            if workers > 1 and combo_count >= threshold:
-                combos = list(
-                    itertools.combinations_with_replacement(universe, degree)
-                )
-                chunk_results = _run_chunks(
-                    _chunked(combos, 4 * workers),
-                    _node_chunk_worker,
-                    lambda chunk, allowed=allowed: _node_chunk(
-                        chunk, allowed, node_forall
-                    ),
-                    _init_node_worker,
-                    (allowed, node_forall),
-                    workers,
-                    name_prefix,
-                )
-                configurations = [
-                    Multiset(combo) for chunk in chunk_results for combo in chunk
-                ]
-            else:
-                for combo in itertools.combinations_with_replacement(
-                    universe, degree
-                ):
-                    budget_scope.tick()
-                    if node_check(combo, allowed):
-                        configurations.append(Multiset(combo))
+            for combo in itertools.combinations_with_replacement(universe, degree):
+                budget_scope.tick()
+                if node_check(combo, allowed):
+                    configurations.append(Multiset(combo))
         node_constraints[degree] = configurations
     operator_cache.record(name_prefix, configurations_tested=configurations_tested)
 

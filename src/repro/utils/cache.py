@@ -57,8 +57,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_ENTRIES = 1024
 
-#: Counter fields tracked per operator.  The last block is maintained by
-#: the hardened worker pools of :mod:`repro.roundelim.ops`.
+#: Counter fields tracked per operator.
 STAT_FIELDS = (
     "hits",
     "misses",
@@ -69,11 +68,6 @@ STAT_FIELDS = (
     "decode_errors",
     "configurations_tested",
     "wall_time",
-    "pool_fallbacks",
-    "chunk_retries",
-    "chunk_timeouts",
-    "chunk_failures",
-    "serial_rescues",
     # Maintained by the compiled bitset backend dispatch (REPRO_BITSET):
     # steps served by the numpy kernels vs. declined-to-oracle fallbacks.
     "bitset_steps",
@@ -174,15 +168,7 @@ def format_stats() -> str:
         )
         robustness = {
             field: int(c[field])
-            for field in (
-                "pool_fallbacks",
-                "chunk_retries",
-                "chunk_timeouts",
-                "chunk_failures",
-                "serial_rescues",
-                "bitset_fallbacks",
-                "sat_fallbacks",
-            )
+            for field in ("bitset_fallbacks", "sat_fallbacks")
             if c.get(field)
         }
         if robustness:

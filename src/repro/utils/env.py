@@ -45,7 +45,7 @@ class EnvKnob:
     doc: str
     #: Where the knob may be read: ``"any"`` (default) or ``"parent"`` —
     #: parent-scoped knobs configure the supervising process and must be
-    #: resolved *before* forking; re-reading one inside a pool worker or
+    #: resolved *before* forking; re-reading one inside a scheduler worker or
     #: an isolated cell child silently picks up whatever environment the
     #: child inherited, which lint rule REP011 flags.
     scope: str = "any"
@@ -195,34 +195,6 @@ declare(
     "evicted once the total exceeds it.",
 )
 declare(
-    "REPRO_WORKERS",
-    "int",
-    None,
-    "Worker processes for the quantifier-loop pools; defaults to "
-    "min(cpu_count, 8).",
-)
-declare(
-    "REPRO_PARALLEL_THRESHOLD",
-    "int",
-    20_000,
-    "Minimum candidate-set size before the quantifier loops fan out to the "
-    "process pool; smaller inputs run serially.",
-)
-declare(
-    "REPRO_CHUNK_TIMEOUT",
-    "float",
-    300.0,
-    "Per-chunk wall-clock limit in seconds before a pool chunk is presumed "
-    "wedged, the pool recycled, and the chunk retried.",
-)
-declare(
-    "REPRO_CHUNK_RETRIES",
-    "int",
-    2,
-    "Pool-level retry rounds for failed/timed-out chunks before they are "
-    "re-executed serially in-process.",
-)
-declare(
     "REPRO_BITSET",
     "bool",
     True,
@@ -274,7 +246,7 @@ declare(
     "REPRO_FAULTS",
     "str",
     "",
-    "Deterministic fault-injection spec, e.g. 'worker_crash:0.1,"
+    "Deterministic fault-injection spec, e.g. 'sim_crash:0.1,"
     "cache_corrupt:0.02'; empty disables the harness.",
 )
 declare(

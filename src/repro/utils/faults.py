@@ -1,30 +1,20 @@
 """Deterministic, seedable fault injection for the round-elimination engine.
 
-The robustness layer (pool hardening, cache corruption recovery, sequence
-checkpointing) is only trustworthy if it is *exercised*: this module lets
-tests — and the CI chaos job — inject controlled failures at every
-recovery boundary and then assert that results are bit-identical to a
-clean serial run.
+The robustness layer (cache corruption recovery, sequence checkpointing,
+campaign supervision and scheduling) is only trustworthy if it is
+*exercised*: this module lets tests — and the CI chaos job — inject
+controlled failures at every recovery boundary and then assert that
+results are bit-identical to a clean serial run.
 
 Faults are configured by the ``REPRO_FAULTS`` environment variable (or
 programmatically via :func:`configure_faults`) as a comma-separated list
 of ``kind:rate`` pairs::
 
-    REPRO_FAULTS=worker_crash:0.1,slow_chunk:0.05,cache_corrupt:0.02
+    REPRO_FAULTS=cache_corrupt:0.02,sim_crash:0.1
     REPRO_FAULTS_SEED=7
 
 Supported kinds
 ---------------
-``worker_crash``
-    A pool worker raises :class:`InjectedFault` at the start of a chunk
-    (exercises per-chunk retry and serial rescue in
-    :mod:`repro.roundelim.ops`).
-``worker_exit``
-    A pool worker hard-exits (``os._exit``), breaking the whole process
-    pool (exercises ``BrokenProcessPool`` detection and pool rebuild).
-``slow_chunk``
-    A pool worker sleeps :data:`SLOW_CHUNK_SECONDS` before working
-    (exercises per-chunk timeouts when they are configured tightly).
 ``cache_corrupt``
     A disk read in :mod:`repro.utils.cache` returns truncated bytes
     (exercises the poisoned-entry path: delete, count, recompute).
@@ -71,15 +61,15 @@ Determinism
 -----------
 Every decision is a pure function of ``(seed, kind, per-kind counter)``
 via SHA-256, so a given configuration fires the same faults at the same
-injection points on every run — no global RNG state is consumed.  Worker
-processes forked by the pool inherit the parent's plan (and re-read the
-environment under spawn), so chaos runs are reproducible there too.
+injection points on every run — no global RNG state is consumed.  The
+process-crossing kinds (:data:`SIM_KINDS`, :data:`SCHED_KINDS`) are drawn
+in the parent and shipped to children as instructions, so chaos runs are
+reproducible regardless of how many processes take part.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from hashlib import sha256
 from typing import Dict, Optional, Tuple, Union
@@ -93,9 +83,6 @@ _ENV_SEED = "REPRO_FAULTS_SEED"
 
 #: Recognized fault kinds (unknown kinds in a spec are rejected loudly).
 KINDS = (
-    "worker_crash",
-    "worker_exit",
-    "slow_chunk",
     "cache_corrupt",
     "checkpoint_truncate",
     "sim_crash",
@@ -118,9 +105,6 @@ SIM_KINDS = ("sim_crash", "sim_hang", "sim_oom")
 #: one-process counter discipline as :data:`SIM_KINDS`).
 SCHED_KINDS = ("worker_abort", "heartbeat_stall", "duplicate_completion")
 
-#: How long a ``slow_chunk`` fault stalls a worker.
-SLOW_CHUNK_SECONDS = 0.05
-
 #: How long a ``sim_hang`` fault stalls a cell — far beyond any sane
 #: per-cell timeout, so the supervisor's kill path always fires first.
 SIM_HANG_SECONDS = 3600.0
@@ -140,10 +124,9 @@ class InjectedFault(RuntimeError):
         self.occurrence = occurrence
 
     def __reduce__(self):
-        # A pool worker's exception is pickled back to the parent; the
+        # An exception crossing a process boundary is pickled; the
         # default reduction replays only the message and cannot rebuild
-        # this signature, which breaks the whole pool instead of failing
-        # one chunk.
+        # this signature.
         return (type(self), (self.kind, self.occurrence))
 
 
@@ -246,33 +229,13 @@ def reset_faults() -> None:
 
 
 # ------------------------------------------------------------ injection points
-def maybe_crash(kind: str = "worker_crash") -> None:
-    """Raise :class:`InjectedFault` when the next occurrence fires."""
-    plan = get_plan()
-    if plan.fire(kind):
-        raise InjectedFault(kind, plan._counts[kind] - 1)
-
-
-def maybe_exit() -> None:
-    """Hard-exit the current (worker) process when the fault fires."""
-    plan = get_plan()
-    if plan.fire("worker_exit"):
-        os._exit(3)
-
-
-def maybe_sleep(kind: str = "slow_chunk", duration: float = SLOW_CHUNK_SECONDS) -> None:
-    """Stall when the next occurrence fires (simulated slow chunk)."""
-    if get_plan().fire(kind):
-        time.sleep(duration)
-
-
 def execute_sim_fault(kind: str, occurrence: int = 0) -> None:
     """Carry out a simulator-level fault *instruction* inside a cell.
 
-    Unlike the ``maybe_*`` helpers, this does not consult the plan: the
-    supervisor draws from the plan in the parent process (keeping the
-    occurrence counters deterministic in one place) and ships the fired
-    kinds to the isolated cell, which executes them here.
+    This does not consult the plan: the supervisor draws from the plan in
+    the parent process (keeping the occurrence counters deterministic in
+    one place) and ships the fired kinds to the isolated cell, which
+    executes them here.
 
     ``sim_crash`` raises :class:`InjectedFault`; ``sim_hang`` stalls for
     :data:`SIM_HANG_SECONDS` (the supervisor's timeout kills the cell

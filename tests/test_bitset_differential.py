@@ -44,7 +44,6 @@ from repro.roundelim.ops import (
     R,
     R_bar,
     configure_bitset,
-    configure_parallel,
     simplify,
 )
 from repro.utils import cache as operator_cache
@@ -67,16 +66,14 @@ CHUNK = 25
 
 @pytest.fixture(autouse=True)
 def fresh_engine():
-    """Serial, uncached, zeroed counters; backend restored to the env knob."""
+    """Uncached, zeroed counters; backend restored to the env knob."""
     operator_cache.reset()
     operator_cache.reset_stats()
     operator_cache.configure(enabled=True, disk_dir=None)
-    configure_parallel(workers=1)
     yield
     configure_bitset(enabled=None)
     operator_cache.reset()
     operator_cache.reset_stats()
-    configure_parallel(workers=None, threshold=None)
 
 
 def engine_trace(problem, enabled):

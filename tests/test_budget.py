@@ -20,16 +20,13 @@ from repro.utils.budget import Budget, BudgetDiagnostics, active_budget
 
 @pytest.fixture(autouse=True)
 def serial_engine():
-    from repro.roundelim.ops import configure_parallel
     from repro.utils import cache as operator_cache
 
     operator_cache.reset()
     operator_cache.reset_stats()
-    configure_parallel(workers=1)
     yield
     operator_cache.reset()
     operator_cache.reset_stats()
-    configure_parallel(workers=None, threshold=None)
 
 
 class TestBudgetPrimitive:

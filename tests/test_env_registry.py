@@ -7,17 +7,12 @@ import logging
 
 import pytest
 
-from repro.roundelim import ops
 from repro.utils import env
 
 EXPECTED_KNOBS = {
     "REPRO_CACHE": "bool",
     "REPRO_CACHE_DIR": "str",
     "REPRO_CACHE_MAX_BYTES": "int",
-    "REPRO_WORKERS": "int",
-    "REPRO_PARALLEL_THRESHOLD": "int",
-    "REPRO_CHUNK_TIMEOUT": "float",
-    "REPRO_CHUNK_RETRIES": "int",
     "REPRO_FAULTS": "str",
     "REPRO_FAULTS_SEED": "int",
     "REPRO_CHECKPOINT_DIR": "str",
@@ -134,22 +129,22 @@ class TestAccessors:
     def test_get_int_parses_and_falls_back(
         self, monkeypatch, caplog, propagating_repro_logger
     ):
-        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "5")
-        assert env.get_int("REPRO_CHUNK_RETRIES") == 5
-        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "banana")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
+        assert env.get_int("REPRO_CELL_RETRIES") == 5
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "banana")
         with caplog.at_level(logging.WARNING, logger="repro.utils.env"):
-            assert env.get_int("REPRO_CHUNK_RETRIES") == 2
-        assert "REPRO_CHUNK_RETRIES" in caplog.text
+            assert env.get_int("REPRO_CELL_RETRIES") == 1
+        assert "REPRO_CELL_RETRIES" in caplog.text
 
     def test_get_float_parses_and_falls_back(
         self, monkeypatch, caplog, propagating_repro_logger
     ):
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "1.5")
-        assert env.get_float("REPRO_CHUNK_TIMEOUT") == 1.5
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "soon")
+        monkeypatch.setenv("REPRO_SCHED_LEASE_SECS", "1.5")
+        assert env.get_float("REPRO_SCHED_LEASE_SECS") == 1.5
+        monkeypatch.setenv("REPRO_SCHED_LEASE_SECS", "soon")
         with caplog.at_level(logging.WARNING, logger="repro.utils.env"):
-            assert env.get_float("REPRO_CHUNK_TIMEOUT") == 300.0
-        assert "REPRO_CHUNK_TIMEOUT" in caplog.text
+            assert env.get_float("REPRO_SCHED_LEASE_SECS") == 5.0
+        assert "REPRO_SCHED_LEASE_SECS" in caplog.text
 
     def test_get_str_empty_reads_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
@@ -158,21 +153,14 @@ class TestAccessors:
         assert env.get_str("REPRO_CACHE_DIR") == "/tmp/cache"
 
     def test_get_raw_passes_through_verbatim(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "  12  ")
-        assert env.get_raw("REPRO_PARALLEL_THRESHOLD") == "  12  "
-        monkeypatch.delenv("REPRO_PARALLEL_THRESHOLD", raising=False)
-        assert env.get_raw("REPRO_PARALLEL_THRESHOLD") is None
+        monkeypatch.setenv("REPRO_CACHE_DIR", "  /tmp/cache  ")
+        assert env.get_raw("REPRO_CACHE_DIR") == "  /tmp/cache  "
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert env.get_raw("REPRO_CACHE_DIR") is None
 
 
 class TestMigratedCallSites:
     """The declared defaults must match what the consuming modules use."""
-
-    def test_parallel_threshold_default_matches_ops(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_THRESHOLD", raising=False)
-        assert ops._effective(
-            "threshold", "REPRO_PARALLEL_THRESHOLD",
-            env.REGISTRY["REPRO_PARALLEL_THRESHOLD"].default, int, floor=1,
-        ) == env.REGISTRY["REPRO_PARALLEL_THRESHOLD"].default
 
     def test_cache_respects_registry_accessors(self, monkeypatch, tmp_path):
         from repro.utils import cache as cache_mod

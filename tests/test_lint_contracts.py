@@ -116,21 +116,6 @@ class TestModuleClassification:
 
 
 class TestForkRegistry:
-    def test_submit_slots_match_run_chunks_signature(self):
-        """``_run_chunks(chunks, worker_fn, ..., initializer)``: the
-        registered callable slots must match the real signature."""
-        import inspect
-
-        from repro.roundelim import ops
-
-        sig = inspect.signature(ops._run_chunks)
-        params = list(sig.parameters)
-        slots = contracts.FORK_SUBMIT_NAMES["_run_chunks"]
-        for slot in slots:
-            assert slot < len(params)
-        for keyword in contracts.FORK_SUBMIT_KEYWORDS:
-            assert keyword in params, keyword
-
     def test_fork_entrypoints_exist(self):
         import importlib
 

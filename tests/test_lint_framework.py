@@ -201,7 +201,7 @@ class TestCli:
     def test_env_flag_prints_knob_table(self, capsys):
         assert lint_main(["--env"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO_CACHE" in out and "REPRO_WORKERS" in out
+        assert "REPRO_CACHE" in out and "REPRO_SCHED_WORKERS" in out
 
     def test_landscape_lint_verb_matches_repro_lint(self, tmp_path, capsys):
         write(tmp_path, "mod.py", BARE_EXCEPT)

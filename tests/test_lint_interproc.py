@@ -237,13 +237,24 @@ class TestDeepTaintFlow:
 
 
 # ---------------------------------------------------------------- REP011
+#: A stand-in for ``repro.supervisor.cells.register_runner``: any function
+#: decorated with it is a fork root (it runs inside an isolated cell).
+REGISTER_RUNNER = """
+    def register_runner(name):
+        def deco(fn):
+            return fn
+        return deco
+"""
+
+
 class TestForkSafety:
     def test_global_mutation_behind_worker_fires(self, tmp_path):
-        """The worker itself is clean; a helper it calls mutates a
+        """The runner itself is clean; a helper it calls mutates a
         module global — only reachability analysis sees it."""
         write_tree(
             tmp_path,
             {
+                "pkg/cells.py": REGISTER_RUNNER,
                 "pkg/state.py": """
                     _MEMO = {}
 
@@ -252,19 +263,12 @@ class TestForkSafety:
                         return value
                 """,
                 "pkg/workers.py": """
+                    from pkg.cells import register_runner
                     from pkg.state import remember
 
-                    def chunk_worker(chunk):
-                        return [remember(c, c * 2) for c in chunk]
-
-                    def fan_out(chunks):
-                        return _run_chunks(chunks, chunk_worker, serial, workers=4)
-
-                    def serial(chunks):
-                        return [chunk_worker(c) for c in chunks]
-
-                    def _run_chunks(chunks, worker_fn, serial_fn, workers):
-                        return serial_fn(chunks)
+                    @register_runner("double")
+                    def double_cell(spec):
+                        return [remember(c, c * 2) for c in spec]
                 """,
             },
         )
@@ -274,12 +278,13 @@ class TestForkSafety:
         assert hits[0].path == "pkg/state.py"
         assert "_MEMO" in hits[0].message
         # The chain explains *why* state.py counts as worker-side.
-        assert "chunk_worker" in hits[0].message
+        assert "double_cell" in hits[0].message
 
     def test_unpicklable_global_read_fires(self, tmp_path):
         write_tree(
             tmp_path,
             {
+                "pkg/cells.py": REGISTER_RUNNER,
                 "pkg/locked.py": """
                     import threading
 
@@ -290,16 +295,12 @@ class TestForkSafety:
                             return x + 1
                 """,
                 "pkg/workers.py": """
+                    from pkg.cells import register_runner
                     from pkg.locked import guarded
 
-                    def chunk_worker(chunk):
-                        return [guarded(c) for c in chunk]
-
-                    def fan_out(chunks):
-                        return _run_chunks(chunks, chunk_worker, None, workers=2)
-
-                    def _run_chunks(chunks, worker_fn, serial_fn, workers):
-                        return worker_fn(chunks)
+                    @register_runner("guarded")
+                    def guarded_cell(spec):
+                        return [guarded(c) for c in spec]
                 """,
             },
         )
@@ -312,12 +313,7 @@ class TestForkSafety:
         write_tree(
             tmp_path,
             {
-                "pkg/cells.py": """
-                    def register_runner(name):
-                        def deco(fn):
-                            return fn
-                        return deco
-                """,
+                "pkg/cells.py": REGISTER_RUNNER,
                 "pkg/runner.py": """
                     from pkg.cells import register_runner
                     from repro.utils import env
@@ -339,15 +335,13 @@ class TestForkSafety:
         write_tree(
             tmp_path,
             {
+                "pkg/cells.py": REGISTER_RUNNER,
                 "pkg/workers.py": """
-                    def chunk_worker(chunk):
-                        return [c * 2 for c in chunk]
+                    from pkg.cells import register_runner
 
-                    def fan_out(chunks):
-                        return _run_chunks(chunks, chunk_worker, None, workers=2)
-
-                    def _run_chunks(chunks, worker_fn, serial_fn, workers):
-                        return worker_fn(chunks)
+                    @register_runner("double")
+                    def double_cell(spec):
+                        return [c * 2 for c in spec]
                 """,
             },
         )
@@ -358,19 +352,16 @@ class TestForkSafety:
         write_tree(
             tmp_path,
             {
+                "pkg/cells.py": REGISTER_RUNNER,
                 "pkg/workers.py": """
+                    from pkg.cells import register_runner
                     from repro.utils import env
 
-                    def chunk_worker(chunk):
+                    @register_runner("bitset")
+                    def bitset_cell(spec):
                         if env.get_bool("REPRO_BITSET"):
-                            return chunk
-                        return list(chunk)
-
-                    def fan_out(chunks):
-                        return _run_chunks(chunks, chunk_worker, None, workers=2)
-
-                    def _run_chunks(chunks, worker_fn, serial_fn, workers):
-                        return worker_fn(chunks)
+                            return spec
+                        return list(spec)
                 """,
             },
         )

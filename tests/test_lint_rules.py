@@ -239,34 +239,13 @@ class TestPoolCallables:
         )
         assert findings == []
 
-    def test_run_chunks_serial_fn_lambda_is_allowed(self, tmp_path):
+    def test_apply_async_lambda_worker_fires(self, tmp_path):
         findings = lint_file(
             tmp_path,
             "mod.py",
             """
-            def worker(chunk):
-                return chunk
-
-            def init():
-                pass
-
-            def go(chunks, workers):
-                return _run_chunks(
-                    chunks, worker, lambda c: c, init, (), workers, "op"
-                )
-            """,
-        )
-        assert findings == []
-
-    def test_run_chunks_lambda_worker_fires(self, tmp_path):
-        findings = lint_file(
-            tmp_path,
-            "mod.py",
-            """
-            def go(chunks, workers):
-                return _run_chunks(
-                    chunks, lambda c: c, None, None, (), workers, "op"
-                )
+            def go(pool, chunks):
+                return [pool.apply_async(lambda c: c, (chunk,)) for chunk in chunks]
             """,
         )
         assert codes(findings) == ["REP004"]
@@ -315,7 +294,7 @@ class TestEnvKnobs:
         )
         assert codes(findings) == ["REP006"]
         findings = lint_file(
-            tmp_path, "mod.py", 'import os\nX = os.getenv("REPRO_WORKERS")\n'
+            tmp_path, "mod.py", 'import os\nX = os.getenv("REPRO_SCHED_WORKERS")\n'
         )
         assert codes(findings) == ["REP006"]
 

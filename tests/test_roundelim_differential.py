@@ -1,11 +1,11 @@
-"""Differential harness for the memoized/parallel round-elimination engine.
+"""Differential harness for the memoized round-elimination engine.
 
 For every catalog problem plus a batch of seeded random problems, the
-operators ``R``, ``R_bar`` and ``simplify`` are run through four
-configurations — cache disabled, cache cold, cache warm, and parallel
-workers — and the results must be canonically identical (in fact exactly
-equal, since the inputs have identical spellings).  A second set of tests
-locks the *accounting*: warm runs must hit the cache, and a warm
+operators ``R``, ``R_bar`` and ``simplify`` are run through three
+configurations — cache disabled, cache cold, and cache warm — and the
+results must be canonically identical (in fact exactly equal, since the
+inputs have identical spellings).  A second set of tests locks the
+*accounting*: warm runs must hit the cache, and a warm
 ``ProblemSequence`` walk must perform zero operator recomputations.
 """
 
@@ -16,7 +16,7 @@ from repro.lcl.catalog import standard_catalog
 from repro.lcl.random_problems import random_lcl
 from repro.roundelim import ProblemSequence
 from repro.roundelim.canonical import canonical_hash, canonically_equal
-from repro.roundelim.ops import R, R_bar, configure_parallel, simplify
+from repro.roundelim.ops import R, R_bar, simplify
 from repro.utils import cache as operator_cache
 
 CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
@@ -34,15 +34,13 @@ ALL_PROBLEMS = CATALOG_PROBLEMS + RANDOM_PROBLEMS
 
 @pytest.fixture(autouse=True)
 def fresh_engine():
-    """Memory-only cache, serial workers, zeroed counters for every test."""
+    """Memory-only cache, zeroed counters for every test."""
     operator_cache.reset()
     operator_cache.reset_stats()
     operator_cache.configure(enabled=True, disk_dir=None)
-    configure_parallel(workers=1)
     yield
     operator_cache.reset()
     operator_cache.reset_stats()
-    configure_parallel(workers=None, threshold=None)
 
 
 def apply_operators(problem, use_cache):
@@ -61,7 +59,7 @@ def apply_operators(problem, use_cache):
 
 class TestDifferential:
     @pytest.mark.parametrize("name, problem", ALL_PROBLEMS, ids=[n for n, _ in ALL_PROBLEMS])
-    def test_cached_and_parallel_paths_agree(self, name, problem):
+    def test_cached_paths_agree(self, name, problem):
         baseline = apply_operators(problem, use_cache=False)
 
         cold = apply_operators(problem, use_cache=True)
@@ -69,11 +67,6 @@ class TestDifferential:
 
         warm = apply_operators(problem, use_cache=True)
         assert warm == baseline, "warm cache run diverged from the uncached engine"
-
-        configure_parallel(workers=2, threshold=1)
-        operator_cache.configure(enabled=False)
-        parallel = apply_operators(problem, use_cache=False)
-        assert parallel == baseline, "parallel workers diverged from the serial engine"
 
     @pytest.mark.parametrize(
         "name, problem", CATALOG_PROBLEMS, ids=[n for n, _ in CATALOG_PROBLEMS]
