@@ -8,11 +8,13 @@ strings stored at the visible nodes.
 
 :class:`Ball` captures this as a standalone structure with *local* node
 indices assigned in canonical BFS order (distance first, then discovery
-through ports in increasing order).  Because port numbers are part of the
-model, this canonical order makes two balls port-isomorphic **iff** their
-:meth:`Ball.signature` strings are equal — which is how we implement
-order-invariance checks and 0-round function tables without a general
-isomorphism search.
+through ports in increasing order), so ``distance`` never decreases with the
+local index; :class:`~repro.local.iterative.IterativeAlgorithm` relies on
+this to replay rounds over a prefix of the local indices.  Because port
+numbers are part of the model, this canonical order makes two balls
+port-isomorphic **iff** their :meth:`Ball.signature` strings are equal —
+which is how we implement order-invariance checks and 0-round function
+tables without a general isomorphism search.
 """
 
 from __future__ import annotations

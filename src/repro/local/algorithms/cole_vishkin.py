@@ -18,6 +18,7 @@ orientation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import AlgorithmError
@@ -47,14 +48,19 @@ def orient_path_inputs(graph: Graph) -> HalfEdgeLabeling:
     return labeling
 
 
-def palette_schedule(initial_palette: int) -> List[int]:
-    """Palette sizes after each Cole–Vishkin round, down to the 6 fixpoint."""
+@lru_cache(maxsize=256)
+def palette_schedule(initial_palette: int) -> Tuple[int, ...]:
+    """Palette sizes after each Cole–Vishkin round, down to the 6 fixpoint.
+
+    Pure in its argument and memoized: every node of every round asks for
+    the same schedule, so it is computed once per palette.
+    """
     palettes: List[int] = []
     palette = initial_palette
     while palette > 6:
         palette = 2 * max(1, (palette - 1).bit_length())
         palettes.append(palette)
-    return palettes
+    return tuple(palettes)
 
 
 class ColeVishkinColoring(IterativeAlgorithm):

@@ -16,21 +16,26 @@ the class whose lower boundary Theorem 1.1 pins down.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, Tuple
 
 from repro.exceptions import AlgorithmError
 from repro.local.iterative import IterativeAlgorithm
 from repro.utils.numbers import GFPolynomial, next_prime
 
 
+@lru_cache(maxsize=256)
 def reduction_schedule(
     initial_palette: int, max_degree: int
-) -> List[Tuple[int, int, int]]:
-    """The per-round field parameters: a list of ``(q, d, new_palette)``.
+) -> Tuple[Tuple[int, int, int], ...]:
+    """The per-round field parameters: a tuple of ``(q, d, new_palette)``.
 
     Each entry uses the smallest polynomial degree ``d`` such that the
     prime ``q = next_prime(Δ·d + 1)`` satisfies ``q^{d+1} >= palette``.
     The schedule ends when a round no longer shrinks the palette.
+
+    Pure in its arguments and memoized: every node of every round asks
+    for the same schedule, so it is computed once per ``(palette, Δ)``.
     """
     degree = max(2, max_degree)
     schedule: List[Tuple[int, int, int]] = []
@@ -44,7 +49,7 @@ def reduction_schedule(
             d += 1
         new_palette = q * q
         if new_palette >= palette:
-            return schedule
+            return tuple(schedule)
         schedule.append((q, d, new_palette))
         palette = new_palette
 
@@ -76,7 +81,7 @@ class LinialColoring(IterativeAlgorithm):
     def initial_palette(self, n: int) -> int:
         return max(2, n**self.id_exponent + 1)
 
-    def schedule(self, n: int) -> List[Tuple[int, int, int]]:
+    def schedule(self, n: int) -> Tuple[Tuple[int, int, int], ...]:
         return reduction_schedule(self.initial_palette(n), self.max_degree)
 
     def final_palette(self, n: int) -> int:

@@ -14,11 +14,28 @@ determined by its radius-``t`` ball, which lies inside the center's
 radius-``T`` ball whenever ``d + t <= T`` — so the replay updates exactly
 the nodes whose next state is still determined, and after ``T`` rounds the
 center's state is correct.
+
+The replay contract, which every subclass keeps:
+
+* :meth:`IterativeAlgorithm.step` is a pure function of its arguments.
+  The replay may call it in any order, once per node per round, and the
+  same ``(round, state, neighbor states)`` must always give the same
+  next state.
+* Parameters that depend only on ``n`` (round schedules, palettes) live
+  in memoized pure functions such as
+  :func:`~repro.local.algorithms.linial.reduction_schedule` and
+  :func:`~repro.local.algorithms.cole_vishkin.palette_schedule`. ``step``
+  looks them up; it does not recompute them for every node and round.
+* The replay relies on the BFS order of a ball's local indices (see
+  :mod:`repro.graphs.balls`): ``distance`` never decreases with the local
+  index, so the nodes still determined after a round are a prefix of the
+  local indices, and only that prefix is stepped.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphs.balls import Ball
@@ -97,25 +114,37 @@ class IterativeAlgorithm(LocalAlgorithm):
         )
 
     def _replay(self, ball: Ball, total_rounds: int, n: int) -> List[Any]:
+        num_nodes = ball.num_nodes
         states: List[Any] = [
             self.initial_state(ball.ids[v], ball.degrees[v], ball.inputs[v], ball.bits[v], n)
-            for v in range(ball.num_nodes)
+            for v in range(num_nodes)
         ]
+        distance = ball.distance
         horizon = ball.radius
+        # Port-indexed local neighbors of every node stepped in round 0; a
+        # port whose edge leaves the ball reads the extra slot `num_nodes`,
+        # which always holds None.
+        neighbors = [
+            tuple(
+                ball.adj[v][port][0] if port in ball.adj[v] else num_nodes
+                for port in range(ball.degrees[v])
+            )
+            for v in range(bisect_right(distance, horizon - 1))
+        ]
+        step = self.step
+        states.append(None)
         for round_index in range(total_rounds):
             # After this round, states are determined for nodes at distance
-            # <= horizon - (round_index + 1) from the center.
-            determined_up_to = horizon - (round_index + 1)
-            next_states = list(states)
-            for v in range(ball.num_nodes):
-                if ball.distance[v] > determined_up_to:
-                    next_states[v] = None
-                    continue
-                next_states[v] = self.step(
-                    round_index, states[v], self._neighbor_states(ball, v, states), n
+            # <= horizon - (round_index + 1) from the center: a prefix of
+            # the BFS-ordered local indices.
+            active = bisect_right(distance, horizon - (round_index + 1))
+            next_states: List[Any] = [None] * (num_nodes + 1)
+            for v in range(active):
+                next_states[v] = step(
+                    round_index, states[v], tuple([states[u] for u in neighbors[v]]), n
                 )
             states = next_states
-        return states
+        return states[:num_nodes]
 
     @staticmethod
     def _neighbor_states(
