@@ -264,21 +264,8 @@ def _box_components_general(
         budget_scope.tick(size)
         return all(Multiset(sel) in allowed for sel in it.product(*sets))
 
-    # label_sort_key recurses through nested frozensets, and the BFS below
-    # canonicalizes degree * |labels| candidate boxes per popped box — the
-    # same component sets come back constantly, so key derivation dominated
-    # profiles before this per-run memo.  Pure caching: identical keys,
-    # identical order, for both engine backends.
-    component_keys: Dict[FrozenSet[Any], Any] = {}
-
-    def component_key(component: FrozenSet[Any]) -> Any:
-        key = component_keys.get(component)
-        if key is None:
-            key = component_keys[component] = label_sort_key(component)
-        return key
-
     def canonical(sets) -> Tuple[FrozenSet[Any], ...]:
-        return tuple(sorted(sets, key=component_key))
+        return tuple(sorted(sets, key=label_sort_key))
 
     seen: Set[Tuple[FrozenSet[Any], ...]] = set()
     frontier: List[Tuple[FrozenSet[Any], ...]] = []

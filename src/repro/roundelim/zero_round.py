@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from functools import lru_cache
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro import sat
@@ -203,6 +204,25 @@ def find_zero_round_algorithm(
     return _find_by_enumeration(problem, chosen_degrees)
 
 
+@lru_cache(maxsize=128)
+def _sat_encoding(
+    problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
+) -> Tuple[sat.ZeroRoundEncoder, Tuple[FrozenSet[Any], ...]]:
+    """A problem's :class:`~repro.sat.ZeroRoundEncoder` and its maximal
+    cliques (in search order), built once per ``(problem, degrees)``.
+
+    Keyed like :func:`repro.roundelim.canonical._canonical_state`, on the
+    problem's structural ``__eq__`` / ``__hash__``, so equal problems share
+    one encoder (and its label objects, exactly as the canonical memo
+    shares its order).  Sharing is safe: an encoder is read-only after
+    ``__init__`` and every solver copies its formula.  A
+    :class:`~repro.sat.SatUnsupported` shape is not memoized and raises
+    again on the next call.
+    """
+    encoder = sat.ZeroRoundEncoder(problem, chosen_degrees)
+    return encoder, tuple(encoder.maximal_cliques())
+
+
 def _find_by_enumeration(
     problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
 ) -> Optional[ZeroRoundAlgorithm]:
@@ -237,11 +257,11 @@ def _find_with_sat(
     the result object is byte-identical and a lying model can only cause
     a :class:`~repro.sat.SatDecodeError` fallback, never a wrong result.
     """
-    encoder = sat.ZeroRoundEncoder(problem, chosen_degrees)
+    encoder, cliques = _sat_encoding(problem, chosen_degrees)
     with sat.SatSolver(
         encoder.formula, decision_order=encoder.decision_order()
     ) as solver:
-        for clique in encoder.maximal_cliques():
+        for clique in cliques:
             model = solver.solve(encoder.assumptions_excluding(clique))
             if model is None:
                 continue
@@ -277,11 +297,11 @@ def decide_zero_round(
         raise ProblemDefinitionError("problem declares no degrees to cover")
     if sat.sat_enabled():
         try:
-            encoder = sat.ZeroRoundEncoder(problem, chosen_degrees)
+            encoder, cliques = _sat_encoding(problem, chosen_degrees)
             with sat.SatSolver(
                 encoder.formula, decision_order=encoder.decision_order()
             ) as solver:
-                for clique in encoder.maximal_cliques():
+                for clique in cliques:
                     model = solver.solve(encoder.assumptions_excluding(clique))
                     if model is None:
                         continue

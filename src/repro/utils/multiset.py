@@ -15,7 +15,13 @@ labels are *sets* of labels) still canonicalize deterministically.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Iterator
+from typing import Any, Dict, Iterable, Iterator
+
+#: Entries the sort-key memo may hold; storing one more clears it first.
+SORT_KEY_MEMO_CAP = 65_536
+
+#: Exact ``frozenset`` / ``tuple`` labels built from ``str`` alone -> key.
+_sort_keys: Dict[Any, tuple] = {}
 
 
 def label_sort_key(label: Any) -> tuple:
@@ -27,15 +33,47 @@ def label_sort_key(label: Any) -> tuple:
     Frozensets and tuples are keyed recursively by their sorted element
     keys; everything else by ``(type qualname, repr)``, which keeps the
     order total (the type tag differs before the payloads are compared).
+
+    Keys of nested labels are memoized for the life of the process.  The
+    memo's domain is labels of exact type ``frozenset`` or ``tuple`` whose
+    elements are exact ``str`` or are themselves in the memo, i.e. labels
+    built from ``str`` alone.  Everything else (bare strings, numbers,
+    bools, subclasses, containers holding any of these) is keyed afresh on
+    every call: ``1 == True == 1.0`` but their keys differ, so
+    ``frozenset({1})`` and ``frozenset({True})`` must never share an entry.
+    The memo is exact under one precondition: no ``str`` subclass (nor any
+    other object comparing equal to a ``str``) is used as a label, since a
+    lookup would find the plain-``str`` twin's key.  It is cleared
+    wholesale when it holds :data:`SORT_KEY_MEMO_CAP` entries.
     """
+    kind = type(label)
+    memoizable = kind is frozenset or kind is tuple
+    if memoizable:
+        key = _sort_keys.get(label)
+        if key is not None:
+            return key
     if isinstance(label, frozenset):
-        return (
+        key = (
             "frozenset",
             tuple(sorted(label_sort_key(element) for element in label)),
         )
-    if isinstance(label, tuple):
-        return ("tuple", tuple(label_sort_key(element) for element in label))
-    return (type(label).__qualname__, repr(label))
+    elif isinstance(label, tuple):
+        key = ("tuple", tuple(label_sort_key(element) for element in label))
+    else:
+        return (kind.__qualname__, repr(label))
+    if memoizable and all(map(_str_built, label)):
+        if len(_sort_keys) >= SORT_KEY_MEMO_CAP:
+            _sort_keys.clear()
+        _sort_keys[label] = key
+    return key
+
+
+def _str_built(element: Any) -> bool:
+    """Is ``element`` an exact ``str`` or a label already in the memo?"""
+    kind = type(element)
+    if kind is str:
+        return True
+    return (kind is frozenset or kind is tuple) and element in _sort_keys
 
 
 class Multiset:
