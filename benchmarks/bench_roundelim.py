@@ -18,13 +18,11 @@ import time
 import pytest
 from conftest import RESULTS_DIR, cache_report_lines, write_report
 
-from repro import sat
 from repro.decidability import find_fixed_point_certificate
 from repro.lcl import catalog
 from repro.roundelim.canonical import canonical_hash
 from repro.roundelim.ops import R, R_bar, configure_bitset, simplify
 from repro.roundelim.sequence import ProblemSequence
-from repro.roundelim.zero_round import find_zero_round_algorithm
 
 PROBLEMS = [
     ("trivial", lambda: catalog.trivial(3)),
@@ -146,13 +144,13 @@ BACKEND_PROBLEMS = [
 BITSET_TRAJECTORY = "BENCH_bitset.json"
 
 
-def run_backend_experiment(problems=BACKEND_PROBLEMS):
+def run_backend_experiment(problems=BACKEND_PROBLEMS, repetitions=1):
     """Time ``R`` + ``simplify`` under both backends on each problem.
 
     Returns the result rows and the report text.  Outputs are asserted
     identical (the differential contract) before any timing is trusted,
     so a row can never report a speedup for a kernel that changed the
-    answer.
+    answer.  Timings are best-of-``repetitions`` to shed scheduler noise.
     """
     rows = []
     lines = ["RE-bitset: compiled backend vs pure-Python oracle", ""]
@@ -172,13 +170,16 @@ def run_backend_experiment(problems=BACKEND_PROBLEMS):
         outputs = {}
         for backend in ("oracle", "bitset"):
             configure_bitset(enabled=backend == "bitset")
-            started = time.perf_counter()
-            r = R(problem, use_cache=False)
-            result = simplify(r, domination=True, use_cache=False)
-            if kernel == "f":
-                rbar = R_bar(result, use_cache=False)
-                result = simplify(rbar, domination=True, use_cache=False)
-            timings[backend] = time.perf_counter() - started
+            best = float("inf")
+            for _ in range(repetitions):
+                started = time.perf_counter()
+                r = R(problem, use_cache=False)
+                result = simplify(r, domination=True, use_cache=False)
+                if kernel == "f":
+                    rbar = R_bar(result, use_cache=False)
+                    result = simplify(rbar, domination=True, use_cache=False)
+                best = min(best, time.perf_counter() - started)
+            timings[backend] = best
             outputs[backend] = (r, result, canonical_hash(result))
         configure_bitset(enabled=None)
         assert outputs["bitset"] == outputs["oracle"], (
@@ -230,112 +231,6 @@ def test_bitset_backend_speedup(once, roundelim_cache):
     for row in rows:
         assert row["speedup"] > 1.0, f"{row['problem']}: bitset slower than oracle"
     # ...and by ≥5x on the headline catalog walk with a ≥10-label alphabet.
-    headline = by_name["3-coloring f^1"]
-    assert headline["labels"] >= 10
-    assert headline["speedup"] >= 5.0, f"headline speedup regressed: {headline}"
-
-
-# ------------------------------------------------------------ SAT comparison
-# Problems for the SAT-vs-enumeration decision rows: the 0-round
-# existence question on ``f``-derived alphabets, where the enumeration
-# path pays a full clique-by-clique cover search and the CNF engine
-# answers each clique by unit propagation.  Timed through the *public*
-# dispatch (``find_zero_round_algorithm`` under ``configure_sat``), so
-# the rows measure exactly what callers get.
-SAT_PROBLEMS = [
-    ("3-coloring f^1", lambda: catalog.coloring(3, 2), 1),
-    ("5-edge-coloring f^1", lambda: catalog.edge_coloring(5, 2), 1),
-]
-
-SAT_TRAJECTORY = "BENCH_sat.json"
-
-
-def run_sat_experiment(problems=SAT_PROBLEMS, repetitions=3):
-    """Time the 0-round decision under both engines on each problem.
-
-    Like :func:`run_backend_experiment`, outputs are asserted identical
-    (clique, rule table, and verdict) before any timing is trusted — a
-    row can never report a speedup for an engine that changed the
-    answer.  Timings are best-of-``repetitions`` to shed scheduler
-    noise.
-    """
-    rows = []
-    lines = ["RE-sat: CNF decision kernel vs enumeration oracle", ""]
-    lines.append(
-        f"  {'problem':<22} {'labels':>6} {'enum':>9} {'sat':>9} {'speedup':>8}"
-    )
-    for name, build, steps in problems:
-        base = build()
-        problem = (
-            ProblemSequence(base, use_cache=False).problem(steps) if steps else base
-        )
-        timings = {}
-        outputs = {}
-        for backend in ("enumeration", "sat"):
-            sat.configure_sat(enabled=backend == "sat")
-            try:
-                best = float("inf")
-                for _ in range(repetitions):
-                    started = time.perf_counter()
-                    algorithm = find_zero_round_algorithm(problem)
-                    best = min(best, time.perf_counter() - started)
-            finally:
-                sat.configure_sat(enabled=None)
-            timings[backend] = best
-            outputs[backend] = (
-                None
-                if algorithm is None
-                else (algorithm.clique, algorithm.table)
-            )
-        assert outputs["sat"] == outputs["enumeration"], (
-            f"{name}: engines disagree — timings are meaningless"
-        )
-        speedup = timings["enumeration"] / timings["sat"]
-        rows.append(
-            {
-                "problem": name,
-                "labels": len(problem.sigma_out),
-                "enumeration_seconds": round(timings["enumeration"], 6),
-                "sat_seconds": round(timings["sat"], 6),
-                "speedup": round(speedup, 2),
-            }
-        )
-        lines.append(
-            f"  {name:<22} {len(problem.sigma_out):>6} "
-            f"{timings['enumeration']:>8.4f}s {timings['sat']:>8.4f}s "
-            f"{speedup:>7.1f}x"
-        )
-    return rows, "\n".join(lines)
-
-
-def append_sat_trajectory(rows, results_dir=None):
-    """Append one entry to the ``BENCH_sat.json`` speedup trajectory."""
-    directory = results_dir or RESULTS_DIR
-    directory.mkdir(exist_ok=True)
-    target = directory / SAT_TRAJECTORY
-    trajectory = []
-    if target.exists():
-        trajectory = json.loads(target.read_text(encoding="utf-8"))
-    trajectory.append(
-        {
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "rows": rows,
-        }
-    )
-    target.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return target
-
-
-def test_sat_backend_speedup(once, roundelim_cache):
-    rows, report = once(run_sat_experiment)
-    write_report("roundelim_sat", report)
-    append_sat_trajectory(rows)
-
-    by_name = {row["problem"]: row for row in rows}
-    # The CNF path must win everywhere it claims support...
-    for row in rows:
-        assert row["speedup"] > 1.0, f"{row['problem']}: SAT slower than enumeration"
-    # ...and by ≥5x on the headline derived alphabet (≥10 labels).
     headline = by_name["3-coloring f^1"]
     assert headline["labels"] >= 10
     assert headline["speedup"] >= 5.0, f"headline speedup regressed: {headline}"

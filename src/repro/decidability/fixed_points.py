@@ -71,8 +71,7 @@ def find_fixed_point_certificate(
         return None
     fixed_problem = sequence.problem(depth)
     # Decision-only: the certificate records *whether* the fixed point is
-    # 0-round solvable, so the rule table is never needed and the SAT
-    # decision kernel can stop at the first satisfiable clique.
+    # 0-round solvable, so the rule table is never needed.
     return FixedPointCertificate(
         problem=problem,
         depth=depth,

@@ -24,20 +24,12 @@ procedure for Question 1.7.
 from __future__ import annotations
 
 import itertools
-import logging
 from functools import lru_cache
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro import sat
 from repro.exceptions import ProblemDefinitionError
 from repro.lcl.nec import NodeEdgeCheckableLCL
-from repro.utils import cache as operator_cache
 from repro.utils.multiset import Multiset, label_sort_key
-
-logger = logging.getLogger(__name__)
-
-#: Operator name under which the SAT dispatch records its stats.
-_STAT_KEY = "zero_round"
 
 
 class ZeroRoundAlgorithm:
@@ -184,99 +176,15 @@ def find_zero_round_algorithm(
     0-round algorithm form a self-looped clique (see module docstring) and
     are therefore contained in some maximal clique.
 
-    Dispatch: under ``REPRO_SAT`` (default on) the existence question and
-    the per-clique cover tests are answered by the CNF engine of
-    :mod:`repro.sat`, with the winning table still *built* (and thereby
-    re-validated) by the enumeration code below — so the result object is
-    bit-identical to the pure enumeration path, which any
-    :class:`~repro.sat.SatError` falls back to automatically (counted as
-    ``sat_fallbacks``).
+    The result wraps the memoized :func:`_search` answer around the
+    caller's own ``problem`` object, so ``algorithm.problem is problem``
+    even when a structurally equal problem filled the memo.
     """
-    chosen_degrees = tuple(sorted(degrees)) if degrees is not None else problem.degrees()
-    if not chosen_degrees:
-        raise ProblemDefinitionError("problem declares no degrees to cover")
-    if sat.sat_enabled():
-        try:
-            return _find_with_sat(problem, chosen_degrees)
-        except sat.SatError as error:
-            logger.info("SAT path declined %s (%s); enumerating", problem.name, error)
-            operator_cache.record(_STAT_KEY, sat_fallbacks=1)
-    return _find_by_enumeration(problem, chosen_degrees)
-
-
-@lru_cache(maxsize=128)
-def _sat_encoding(
-    problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
-) -> Tuple[sat.ZeroRoundEncoder, Tuple[FrozenSet[Any], ...]]:
-    """A problem's :class:`~repro.sat.ZeroRoundEncoder` and its maximal
-    cliques (in search order), built once per ``(problem, degrees)``.
-
-    Keyed like :func:`repro.roundelim.canonical._canonical_state`, on the
-    problem's structural ``__eq__`` / ``__hash__``, so equal problems share
-    one encoder (and its label objects, exactly as the canonical memo
-    shares its order).  Sharing is safe: an encoder is read-only after
-    ``__init__`` and every solver copies its formula.  A
-    :class:`~repro.sat.SatUnsupported` shape is not memoized and raises
-    again on the next call.
-    """
-    encoder = sat.ZeroRoundEncoder(problem, chosen_degrees)
-    return encoder, tuple(encoder.maximal_cliques())
-
-
-def _find_by_enumeration(
-    problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
-) -> Optional[ZeroRoundAlgorithm]:
-    """The complete maximal-clique search (the differential oracle)."""
-    cliques = _maximal_cliques(problem)
-    cliques.sort(key=lambda c: (-len(c), sorted(map(label_sort_key, c))))
-    for clique in cliques:
-        table = _cover_with_clique(problem, clique, chosen_degrees)
-        if table is not None:
-            return ZeroRoundAlgorithm(problem, clique, table)
-    return None
-
-
-def _find_with_sat(
-    problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
-) -> Optional[ZeroRoundAlgorithm]:
-    """SAT-backed search, pinned to the enumeration path's choices.
-
-    One loaded formula, queried incrementally: per maximal clique (in the
-    enumeration path's clique order) the assumptions exclude every other
-    selector, so the solver answers "does *this* clique cover every
-    tuple?".  Inside a clique all selectors are mutually compatible, so
-    each query resolves by unit propagation alone — no search — which is
-    what makes this robustly faster than a single global solve.  The
-    search over maximal cliques stays complete for the same reason the
-    enumeration's is: any covering clique extends to a maximal one, and
-    covering is monotone in the clique.
-
-    A SAT answer is never trusted: the model is validated by
-    :meth:`~repro.sat.ZeroRoundEncoder.decode_clique` and the actual rule
-    table is built by :func:`_cover_with_clique` — enumeration code — so
-    the result object is byte-identical and a lying model can only cause
-    a :class:`~repro.sat.SatDecodeError` fallback, never a wrong result.
-    """
-    encoder, cliques = _sat_encoding(problem, chosen_degrees)
-    with sat.SatSolver(
-        encoder.formula, decision_order=encoder.decision_order()
-    ) as solver:
-        for clique in cliques:
-            model = solver.solve(encoder.assumptions_excluding(clique))
-            if model is None:
-                continue
-            encoder.decode_clique(model)  # validation only; raises on any lie
-            table = _cover_with_clique(problem, clique, chosen_degrees)
-            if table is None:
-                raise sat.SatDecodeError(
-                    f"SAT cover claim for clique "
-                    f"{sorted(clique, key=label_sort_key)!r} is not "
-                    f"reproducible by enumeration"
-                )
-            operator_cache.record(_STAT_KEY, sat_steps=1)
-            return ZeroRoundAlgorithm(problem, clique, table)
-    operator_cache.record(_STAT_KEY, sat_steps=1)
-    return None
+    found = _search(problem, _chosen_degrees(problem, degrees))
+    if found is None:
+        return None
+    clique, table = found
+    return ZeroRoundAlgorithm(problem, clique, table)
 
 
 def decide_zero_round(
@@ -285,32 +193,40 @@ def decide_zero_round(
 ) -> bool:
     """Decision-only form of :func:`find_zero_round_algorithm`.
 
-    Answers *whether* a deterministic 0-round algorithm exists without
-    extracting the rule table — per-clique incremental assumption
-    queries, stopping at the first satisfiable one, which is what
-    :func:`repro.decidability.fixed_points.find_fixed_point_certificate`
-    needs per fixed point.  Falls back to the full enumeration search on
-    any :class:`~repro.sat.SatError`.
+    What :func:`repro.decidability.fixed_points.find_fixed_point_certificate`
+    needs per fixed point; it shares the memoized search, so deciding and
+    then extracting the same problem searches once.
     """
-    chosen_degrees = tuple(sorted(degrees)) if degrees is not None else problem.degrees()
-    if not chosen_degrees:
+    return _search(problem, _chosen_degrees(problem, degrees)) is not None
+
+
+def _chosen_degrees(
+    problem: NodeEdgeCheckableLCL, degrees: Optional[Iterable[int]]
+) -> Tuple[int, ...]:
+    chosen = tuple(sorted(degrees)) if degrees is not None else problem.degrees()
+    if not chosen:
         raise ProblemDefinitionError("problem declares no degrees to cover")
-    if sat.sat_enabled():
-        try:
-            encoder, cliques = _sat_encoding(problem, chosen_degrees)
-            with sat.SatSolver(
-                encoder.formula, decision_order=encoder.decision_order()
-            ) as solver:
-                for clique in cliques:
-                    model = solver.solve(encoder.assumptions_excluding(clique))
-                    if model is None:
-                        continue
-                    encoder.decode_clique(model)
-                    operator_cache.record(_STAT_KEY, sat_steps=1)
-                    return True
-            operator_cache.record(_STAT_KEY, sat_steps=1)
-            return False
-        except sat.SatError as error:
-            logger.info("SAT path declined %s (%s); enumerating", problem.name, error)
-            operator_cache.record(_STAT_KEY, sat_fallbacks=1)
-    return _find_by_enumeration(problem, chosen_degrees) is not None
+    return chosen
+
+
+@lru_cache(maxsize=128)
+def _search(
+    problem: NodeEdgeCheckableLCL, chosen_degrees: Tuple[int, ...]
+) -> Optional[Tuple[FrozenSet[Any], Dict[Tuple[Any, ...], Tuple[Any, ...]]]]:
+    """The complete maximal-clique search: the first covering clique (largest
+    first, then by sorted label keys) and its rule table, or ``None``.
+
+    Memoized per ``(problem, degrees)`` on the problem's structural
+    ``__eq__`` / ``__hash__``, like
+    :func:`repro.roundelim.canonical._canonical_state`.  That equality
+    ignores ``name``, so the memo holds plain values, never a
+    :class:`ZeroRoundAlgorithm` bound to whichever problem came first.
+    The table is never mutated: :class:`ZeroRoundAlgorithm` copies it.
+    """
+    cliques = _maximal_cliques(problem)
+    cliques.sort(key=lambda c: (-len(c), sorted(map(label_sort_key, c))))
+    for clique in cliques:
+        table = _cover_with_clique(problem, clique, chosen_degrees)
+        if table is not None:
+            return clique, table
+    return None

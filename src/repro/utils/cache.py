@@ -72,10 +72,6 @@ STAT_FIELDS = (
     # steps served by the numpy kernels vs. declined-to-oracle fallbacks.
     "bitset_steps",
     "bitset_fallbacks",
-    # Maintained by the SAT decision-kernel dispatch (REPRO_SAT): decisions
-    # served by the CNF engine vs. declined-to-enumeration fallbacks.
-    "sat_steps",
-    "sat_fallbacks",
 )
 
 _ENV_DISABLE = "REPRO_CACHE"
@@ -166,22 +162,10 @@ def format_stats() -> str:
             f"{int(c['computes']):>9} {int(c['configurations_tested']):>9} "
             f"{c['wall_time']:>8.3f}"
         )
-        robustness = {
-            field: int(c[field])
-            for field in ("bitset_fallbacks", "sat_fallbacks")
-            if c.get(field)
-        }
-        if robustness:
-            detail = " ".join(f"{k}={v}" for k, v in robustness.items())
-            lines.append(f"  {'':<10} !! {detail}")
-        engines = {
-            field: int(c[field])
-            for field in ("bitset_steps", "sat_steps")
-            if c.get(field)
-        }
-        if engines:
-            detail = " ".join(f"{k}={v}" for k, v in engines.items())
-            lines.append(f"  {'':<10} engine: {detail}")
+        if c.get("bitset_fallbacks"):
+            lines.append(f"  {'':<10} !! bitset_fallbacks={int(c['bitset_fallbacks'])}")
+        if c.get("bitset_steps"):
+            lines.append(f"  {'':<10} engine: bitset_steps={int(c['bitset_steps'])}")
     rate = hit_rate()
     lines.append(
         "  overall hit rate: "

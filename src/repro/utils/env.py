@@ -213,34 +213,10 @@ declare(
 declare(
     "REPRO_SAT",
     "bool",
-    True,
-    "SAT backend for the decision kernels (0-round solvability, clique-"
-    "cover refutation, fixed-point refutation); 0/false/off/no forces pure "
-    "enumeration.  Unsupported shapes, solver budget trips, and failed "
-    "model validation always fall back to enumeration automatically.",
-)
-declare(
-    "REPRO_SAT_SOLVER",
-    "str",
-    "auto",
-    "SAT engine behind the decision kernels: 'auto' prefers an installed "
-    "pysat, 'pysat' requires it (its absence then counts as a fallback), "
-    "'dpll' forces the bundled pure-Python solver.",
-)
-declare(
-    "REPRO_SAT_TIMEOUT",
-    "float",
-    None,
-    "Wall-clock limit in seconds for a single SAT solver call; a trip "
-    "abandons the SAT path for that decision and falls back to enumeration "
-    "(counted as sat_fallbacks).  Unset means no limit.",
-)
-declare(
-    "REPRO_SAT_DIFF_COUNT",
-    "int",
-    100,
-    "Population size for the SAT-vs-enumeration differential fuzz sweep "
-    "(tests marked 'fuzz' in tests/test_sat_differential.py).",
+    False,
+    "Retired: the SAT backend is gone and this knob has no effect.  It "
+    "stays declared only because the benchmark harness still reads it, and "
+    "goes with the next benchmark change.",
 )
 declare(
     "REPRO_FAULTS",

@@ -24,30 +24,20 @@ decision therefore admit small, self-contained evidence:
 
 Everything here imports only the LCL formalism at module level — it is
 shared by the certificate producer (:mod:`repro.verify.certify`) and the
-independent checker (:mod:`repro.verify.check`).  The *builder* half
-(:func:`build_refutation`) may consult the CNF engine of
-:mod:`repro.sat` (lazily imported, dispatch under ``REPRO_SAT``) to
-decide each clique, but every recorded witness is re-derived from the
-encoder's oracle-order candidate table and the *checker* half never
-touches the engine: :func:`check_refutation` re-exhausts each witness by
-the same brute force regardless of which engine proposed it.
+independent checker (:mod:`repro.verify.check`).  The builder and the
+checker share no state: :func:`check_refutation` recomputes the maximal
+cliques and re-exhausts each recorded witness by brute force, whatever
+built the payload.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.lcl.codec import decode_label, encode_label
 from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.utils.multiset import Multiset, label_sort_key
-
-logger = logging.getLogger(__name__)
-
-#: Operator name under which the SAT dispatch records its stats.
-_STAT_KEY = "refute"
-
 
 def self_looped_cliques(problem: NodeEdgeCheckableLCL) -> List[FrozenSet[Any]]:
     """All maximal cliques of the edge-compatibility graph restricted to
@@ -179,102 +169,29 @@ def _covers_candidates(
 
 
 # --------------------------------------------------------------- refutations
-def _witness_entry(
-    clique: FrozenSet[Any], degree: int, input_tuple: Tuple[Any, ...]
-) -> Dict[str, Any]:
-    """The serialized per-clique witness — shared by both engines, so the
-    refutation payload is byte-identical regardless of which one ran."""
-    return {
-        "clique": [encode_label(x) for x in sorted(clique, key=label_sort_key)],
-        "degree": degree,
-        "inputs": [encode_label(x) for x in input_tuple],
-    }
-
-
 def build_refutation(problem: NodeEdgeCheckableLCL) -> Optional[Dict[str, Any]]:
     """A serializable witness that ``Π`` is *not* 0-round solvable.
 
     Returns ``None`` when no refutation exists (i.e. some maximal clique
-    covers everything — the problem *is* 0-round solvable).
-
-    Dispatch: under ``REPRO_SAT`` (default on) the per-clique cover
-    questions are answered by incremental assumption queries against one
-    CNF formula (:mod:`repro.sat`, imported lazily so the checker half of
-    this module stays engine-free), with each uncoverable-tuple witness
-    read back from the encoder's oracle-order candidate table — the
-    payload is byte-identical to the enumeration path's, which any
-    :class:`~repro.sat.SatError` falls back to (counted as
-    ``sat_fallbacks`` under the ``refute`` operator).
+    covers everything — the problem *is* 0-round solvable).  Otherwise
+    records, per clique of :func:`self_looped_cliques` (in that order),
+    the first input tuple :func:`uncoverable_tuple` finds it cannot cover.
     """
-    from repro import sat
-    from repro.utils import cache as operator_cache
-
-    if sat.sat_enabled():
-        try:
-            return _build_refutation_sat(problem)
-        except sat.SatError as error:
-            logger.info(
-                "SAT path declined refutation of %s (%s); enumerating",
-                problem.name,
-                error,
-            )
-            operator_cache.record(_STAT_KEY, sat_fallbacks=1)
-    return _build_refutation_enumeration(problem)
-
-
-def _build_refutation_enumeration(
-    problem: NodeEdgeCheckableLCL,
-) -> Optional[Dict[str, Any]]:
-    """The complete exhaustive builder (the differential oracle)."""
     witnesses = []
     for clique in self_looped_cliques(problem):
         witness = uncoverable_tuple(problem, clique)
         if witness is None:
             return None
         degree, input_tuple = witness
-        witnesses.append(_witness_entry(clique, degree, input_tuple))
-    return {"witnesses": witnesses}
-
-
-def _build_refutation_sat(problem: NodeEdgeCheckableLCL) -> Optional[Dict[str, Any]]:
-    """SAT-backed refutation builder, pinned to the enumeration order.
-
-    One loaded formula, queried per clique of :func:`self_looped_cliques`
-    (the *checker's* clique order, so the witness list is identical to
-    the enumeration builder's).  A satisfiable clique means the problem
-    is 0-round solvable — no refutation — and the model is validated by
-    the encoder's decoder before being believed.  An unsatisfiable
-    clique contributes the oracle-order first uncoverable tuple, read
-    from the encoder's candidate table
-    (:meth:`~repro.sat.ZeroRoundEncoder.first_uncoverable`), which is a
-    direct recomputation rather than a decoded model — a lying solver
-    can only cause a :class:`~repro.sat.SatDecodeError` fallback, never
-    a wrong witness.
-    """
-    from repro import sat
-    from repro.utils import cache as operator_cache
-
-    encoder = sat.ZeroRoundEncoder(problem, problem.degrees())
-    witnesses: List[Dict[str, Any]] = []
-    with sat.SatSolver(
-        encoder.formula, decision_order=encoder.decision_order()
-    ) as solver:
-        for clique in self_looped_cliques(problem):
-            model = solver.solve(encoder.assumptions_excluding(clique))
-            if model is not None:
-                encoder.decode_clique(model)  # validation only; raises on a lie
-                operator_cache.record(_STAT_KEY, sat_steps=1)
-                return None
-            witness = encoder.first_uncoverable(clique)
-            if witness is None:
-                raise sat.SatDecodeError(
-                    f"solver calls clique "
-                    f"{sorted(clique, key=label_sort_key)!r} uncovering, but "
-                    f"every input tuple has a candidate — refusing the witness"
-                )
-            degree, input_tuple = witness
-            witnesses.append(_witness_entry(clique, degree, input_tuple))
-    operator_cache.record(_STAT_KEY, sat_steps=1)
+        witnesses.append(
+            {
+                "clique": [
+                    encode_label(x) for x in sorted(clique, key=label_sort_key)
+                ],
+                "degree": degree,
+                "inputs": [encode_label(x) for x in input_tuple],
+            }
+        )
     return {"witnesses": witnesses}
 
 

@@ -63,7 +63,8 @@ def test_bench_roundelim_main_path(tmp_path, monkeypatch):
 
 def test_bench_roundelim_backend_comparison(tmp_path, monkeypatch):
     """Smoke the bitset-vs-oracle experiment: the compiled backend must
-    not be slower than the oracle on the smoke problem, outputs must be
+    not be slower than the oracle on the smoke problem (best of three
+    runs each, so one scheduler stall cannot decide it), outputs must be
     identical (asserted inside the experiment), and the run must append
     a ``BENCH_bitset.json`` trajectory entry."""
     import json
@@ -72,7 +73,7 @@ def test_bench_roundelim_backend_comparison(tmp_path, monkeypatch):
 
     smoke = [row for row in bench.BACKEND_PROBLEMS if row[0] == "5-edge-coloring"]
     assert smoke, "smoke problem disappeared from BACKEND_PROBLEMS"
-    rows, report = bench.run_backend_experiment(problems=smoke)
+    rows, report = bench.run_backend_experiment(problems=smoke, repetitions=3)
 
     assert "RE-bitset" in report
     for row in rows:
@@ -87,36 +88,6 @@ def test_bench_roundelim_backend_comparison(tmp_path, monkeypatch):
     assert len(trajectory) == 1 and trajectory[0]["rows"] == rows
 
     bench.append_bitset_trajectory(rows, results_dir=tmp_path)
-    trajectory = json.loads(target.read_text())
-    assert len(trajectory) == 2, "trajectory entries must accumulate"
-
-
-def test_bench_roundelim_sat_comparison(tmp_path, monkeypatch):
-    """Smoke the SAT-vs-enumeration experiment: the CNF kernel must not
-    be slower than enumeration on the smoke problem, outputs must be
-    identical (asserted inside the experiment), and the run must append
-    a ``BENCH_sat.json`` trajectory entry."""
-    import json
-
-    bench = importlib.import_module("bench_roundelim")
-
-    smoke = [row for row in bench.SAT_PROBLEMS if row[0] == "3-coloring f^1"]
-    assert smoke, "smoke problem disappeared from SAT_PROBLEMS"
-    rows, report = bench.run_sat_experiment(problems=smoke, repetitions=2)
-
-    assert "RE-sat" in report
-    for row in rows:
-        assert row["speedup"] > 1.0, (
-            f"{row['problem']}: SAT path slower than enumeration "
-            f"({row['sat_seconds']}s vs {row['enumeration_seconds']}s)"
-        )
-
-    target = bench.append_sat_trajectory(rows, results_dir=tmp_path)
-    assert target.name == "BENCH_sat.json"
-    trajectory = json.loads(target.read_text())
-    assert len(trajectory) == 1 and trajectory[0]["rows"] == rows
-
-    bench.append_sat_trajectory(rows, results_dir=tmp_path)
     trajectory = json.loads(target.read_text())
     assert len(trajectory) == 2, "trajectory entries must accumulate"
 

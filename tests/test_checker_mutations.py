@@ -6,15 +6,17 @@ against a from-scratch re-implementation of the definition written in
 this test file — so a bug would need to appear identically in two
 independent codings to slip through.
 
-The SAT block applies the same discipline one layer down: valid solver
-artifacts (models, formulas, refutation payloads) are mutated one bit
-at a time — flipped literal polarity, dropped clause, truncated model —
-and every mutant must be caught by the decoder's validation
-(:exc:`SatDecodeError`) or independently re-proven correct by the
-engine-free checkers; no mutation may ever surface as an accepted but
-wrong witness.
+The 0-round block applies the same discipline to the evidence of the
+Theorem 3.10 base decision.  ``A_det`` tables are mutated one choice at
+a time — a flipped output label, a dropped rule, a table found for a
+problem with one constraint relaxed — and :func:`check_zero_round_table`
+must agree with a from-scratch re-coding of the two base conditions.
+Refutation payloads with a dropped witness, a swapped clique, or an
+undeclared degree must be caught by :func:`check_refutation`.  No
+mutation may surface as an accepted but wrong witness.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,10 +26,15 @@ from hypothesis import strategies as st
 from repro.graphs import HalfEdgeLabeling, cycle, path, random_tree
 from repro.lcl import catalog, check_solution, random_lcl
 from repro.lcl.checker import brute_force_solution
+from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.lcl.random_problems import solvable_random_lcl
-from repro.sat import CnfFormula, SatDecodeError, SatSolver, ZeroRoundEncoder
-from repro.utils.multiset import Multiset
-from repro.verify.refute import build_refutation, check_refutation, uncoverable_tuple
+from repro.roundelim.zero_round import find_zero_round_algorithm
+from repro.utils.multiset import Multiset, label_sort_key
+from repro.verify.refute import (
+    build_refutation,
+    check_refutation,
+    check_zero_round_table,
+)
 
 NO = catalog.NO_INPUT
 
@@ -126,84 +133,117 @@ class TestMutationAgreement:
         assert (3, 4) not in report.failed_edges
 
 
-def _satisfiable_query(problem):
-    """An encoder plus one satisfiable clique query's model, or a skip."""
-    encoder = ZeroRoundEncoder(problem)
-    with SatSolver(
-        encoder.formula, decision_order=encoder.decision_order()
-    ) as solver:
-        for clique in encoder.maximal_cliques():
-            model = solver.solve(encoder.assumptions_excluding(clique))
-            if model is not None:
-                return encoder, model
-    pytest.skip(f"{problem.name}: no satisfiable clique query to mutate")
+def independently_valid_table(problem, clique, table) -> bool:
+    """The two base conditions of Theorem 3.10, re-coded independently."""
+    used = {label for outputs in table.values() for label in outputs}
+    if not used <= set(clique) <= problem.sigma_out:
+        return False
+    for a in used:
+        for b in used:
+            if Multiset((a, b)) not in problem.edge_constraint:
+                return False
+    inputs_sorted = sorted(problem.sigma_in, key=label_sort_key)
+    for degree in problem.degrees():
+        for inputs in itertools.combinations_with_replacement(inputs_sorted, degree):
+            outputs = table.get(inputs)
+            if outputs is None or len(outputs) != degree:
+                return False
+            for input_label, output in zip(inputs, outputs):
+                if output not in problem.allowed_outputs(input_label):
+                    return False
+            if Multiset(outputs) not in problem.node_constraints.get(degree, ()):
+                return False
+    return True
 
 
-def _independently_valid(problem, decoded):
-    """The engine-free re-proof a decoder-accepted mutant must pass."""
-    assert uncoverable_tuple(problem, decoded) is None
-    for a in sorted(decoded, key=str):
-        for b in sorted(decoded, key=str):
-            assert problem.allows_edge(a, b)
+def relaxations(problem):
+    """``problem`` with one forbidden node or edge configuration allowed,
+    once per forbidden configuration."""
+    labels = sorted(problem.sigma_out, key=label_sort_key)
+    g = {label: problem.allowed_outputs(label) for label in problem.sigma_in}
+
+    def variant(node_constraints, edge_constraint):
+        return NodeEdgeCheckableLCL(
+            sigma_in=problem.sigma_in,
+            sigma_out=problem.sigma_out,
+            node_constraints=node_constraints,
+            edge_constraint=edge_constraint,
+            g=g,
+            name=problem.name,
+        )
+
+    for pair in itertools.combinations_with_replacement(labels, 2):
+        if Multiset(pair) not in problem.edge_constraint:
+            yield variant(
+                problem.node_constraints,
+                list(problem.edge_constraint) + [Multiset(pair)],
+            )
+    for degree, allowed in sorted(problem.node_constraints.items()):
+        for outputs in itertools.combinations_with_replacement(labels, degree):
+            if Multiset(outputs) not in allowed:
+                node_constraints = dict(problem.node_constraints)
+                node_constraints[degree] = list(allowed) + [Multiset(outputs)]
+                yield variant(node_constraints, problem.edge_constraint)
 
 
 class TestSatMutations:
-    """Lying solver artifacts must never become accepted wrong witnesses."""
+    """Mutated 0-round evidence must never be accepted wrongly."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_flipped_literal_polarity_in_model(self, seed):
+        # Every single-choice flip in a valid table: the checker's verdict
+        # must match the independent re-coding, and some flip must fail.
         problem = solvable_random_lcl(seed, num_labels=4, max_degree=2)
-        encoder, model = _satisfiable_query(problem)
-        for variable in sorted(model):
-            mutated = dict(model)
-            mutated[variable] = not mutated[variable]
-            try:
-                decoded = encoder.decode_clique(mutated)
-            except SatDecodeError:
-                continue
-            # The decoder accepted the flip — then the flip must have
-            # been harmless, which only the engine-free checker can say.
-            _independently_valid(problem, decoded)
+        algorithm = find_zero_round_algorithm(problem)
+        assert algorithm is not None, f"planted 0-round solution lost (seed {seed})"
+        clique = sorted(algorithm.clique, key=label_sort_key)
+        table = algorithm.table
+        assert check_zero_round_table(problem, clique, table) == []
+        rejected = 0
+        for inputs, outputs in table.items():
+            for port in range(len(outputs)):
+                for label in sorted(problem.sigma_out, key=label_sort_key):
+                    if label == outputs[port]:
+                        continue
+                    mutated = dict(table)
+                    mutated[inputs] = outputs[:port] + (label,) + outputs[port + 1 :]
+                    accepted = check_zero_round_table(problem, clique, mutated) == []
+                    assert accepted == independently_valid_table(
+                        problem, clique, mutated
+                    ), f"seed {seed}: checker and re-coding disagree on {mutated!r}"
+                    rejected += not accepted
+        assert rejected, f"seed {seed}: no flip was rejected"
 
     @pytest.mark.parametrize(
         "name, build",
         [("mis", lambda: catalog.mis(2)), ("echo", lambda: catalog.echo(2))],
     )
     def test_dropped_clause_cannot_smuggle_a_witness(self, name, build):
-        # Weakening the formula by any single clause lets the solver
-        # find models the encoder never licensed; decoding them against
-        # the *original* encoder must reject or re-prove them.
+        # Relaxing any single constraint lets the search find tables the
+        # original problem never licensed; checking them against the
+        # *original* problem must reject every one.
         problem = build()
-        encoder = ZeroRoundEncoder(problem)
-        cliques = encoder.maximal_cliques()
-        for dropped in range(encoder.formula.num_clauses):
-            weakened = CnfFormula()
-            while weakened.num_vars < encoder.formula.num_vars:
-                weakened.new_var()
-            for index, clause in enumerate(encoder.formula.clauses):
-                if index != dropped:
-                    weakened.add_clause(clause)
-            with SatSolver(
-                weakened, decision_order=encoder.decision_order()
-            ) as solver:
-                for clique in cliques:
-                    model = solver.solve(encoder.assumptions_excluding(clique))
-                    if model is None:
-                        continue
-                    try:
-                        decoded = encoder.decode_clique(model)
-                    except SatDecodeError:
-                        continue
-                    _independently_valid(problem, decoded)
+        assert find_zero_round_algorithm(problem) is None
+        smuggled = 0
+        for relaxed in relaxations(problem):
+            algorithm = find_zero_round_algorithm(relaxed)
+            if algorithm is None:
+                continue
+            smuggled += 1
+            clique = sorted(algorithm.clique, key=label_sort_key)
+            assert check_zero_round_table(problem, clique, algorithm.table)
+            assert not independently_valid_table(problem, clique, algorithm.table)
+        assert smuggled, f"{name}: no relaxation admits a 0-round table"
 
     def test_truncated_model_is_rejected_outright(self):
         problem = catalog.trivial(3)
-        encoder, model = _satisfiable_query(problem)
-        for variable in sorted(model):
-            mutated = dict(model)
-            del mutated[variable]
-            with pytest.raises(SatDecodeError, match="unassigned"):
-                encoder.decode_clique(mutated)
+        algorithm = find_zero_round_algorithm(problem)
+        clique = sorted(algorithm.clique, key=label_sort_key)
+        for inputs in algorithm.table:
+            truncated = algorithm.table
+            del truncated[inputs]
+            errors = check_zero_round_table(problem, clique, truncated)
+            assert f"no rule for input tuple {inputs!r}" in errors
 
     def test_mutated_refutation_payloads_are_rejected(self):
         problem = catalog.maximal_matching(2)

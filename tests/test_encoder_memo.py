@@ -1,16 +1,21 @@
-"""The memoized 0-round encoder is shared, read-only and invisible.
+"""The memoized 0-round search is invisible to its callers.
 
-:mod:`repro.roundelim.zero_round` builds each problem's
-:class:`~repro.sat.ZeroRoundEncoder` once per ``(problem, degrees)``
-and reuses it, with its maximal cliques, for every later decision.  That is only sound if solving
-never mutates the shared encoder and a memo hit answers exactly what a
-freshly built encoder would.
+:mod:`repro.roundelim.zero_round` answers both
+:func:`find_zero_round_algorithm` and :func:`decide_zero_round` from one
+search, memoized per ``(problem, degrees)`` on the problem's structural
+equality.  That is only sound if solving never mutates the shared entry,
+if a memo hit answers exactly what a fresh search would, and if the memo
+never hands one caller's problem object to another: structural equality
+ignores ``name``.  (The module keeps the name it had when the memo held
+the retired CNF encoder, so its test ids stay stable.)
 """
+
+import copy
 
 import pytest
 
-from repro import sat
 from repro.lcl import catalog
+from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.lcl.random_problems import random_lcl, solvable_random_lcl
 from repro.roundelim import zero_round
 from repro.roundelim.sequence import ProblemSequence
@@ -29,47 +34,65 @@ PROBLEMS = [
 
 
 def outcome(problem):
-    """The SAT path's decision and algorithm, as plain values."""
-    sat.configure_sat(enabled=True)
-    try:
-        algorithm = find_zero_round_algorithm(problem)
-        decision = decide_zero_round(problem)
-    finally:
-        sat.configure_sat(enabled=None)
+    """The decision and algorithm, as plain values."""
+    algorithm = find_zero_round_algorithm(problem)
+    decision = decide_zero_round(problem)
     if algorithm is None:
         return decision, None
     return decision, (algorithm.clique, algorithm.table)
 
 
-def snapshot(encoder):
-    return (
-        list(encoder.formula.clauses),
-        encoder.formula.num_vars,
-        encoder.var_semantics(),
-        encoder.decision_order(),
-        encoder.maximal_cliques(),
-    )
-
-
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
 def test_cached_encoder_is_unchanged_by_solves(problem):
     degrees = problem.degrees()
-    encoder, cliques = zero_round._sat_encoding(problem, degrees)
-    before = snapshot(encoder)
+    entry = zero_round._search(problem, degrees)
+    before = copy.deepcopy(entry)
     for _ in range(3):
         outcome(problem)
-    assert zero_round._sat_encoding(problem, degrees) == (encoder, cliques)
-    assert zero_round._sat_encoding(problem, degrees)[0] is encoder
-    assert snapshot(encoder) == before
-    assert list(cliques) == encoder.maximal_cliques()
+        algorithm = find_zero_round_algorithm(problem)
+        if algorithm is not None:
+            # Callers get copies: scribbling on one must not reach the memo.
+            algorithm.table.clear()
+    assert zero_round._search(problem, degrees) is entry
+    assert entry == before
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
 def test_repeated_calls_equal_the_uncached_result(problem, monkeypatch):
-    memo = zero_round._sat_encoding
+    memo = zero_round._search
     memo.cache_clear()
     cached = [outcome(problem) for _ in range(3)]
     assert memo.cache_info().hits >= 3
-    monkeypatch.setattr(zero_round, "_sat_encoding", memo.__wrapped__)
+    monkeypatch.setattr(zero_round, "_search", memo.__wrapped__)
     uncached = outcome(problem)
     assert cached == [uncached] * 3
+
+
+def renamed(problem, name):
+    """A structurally equal copy of ``problem`` under another name."""
+    return NodeEdgeCheckableLCL(
+        sigma_in=problem.sigma_in,
+        sigma_out=problem.sigma_out,
+        node_constraints=problem.node_constraints,
+        edge_constraint=problem.edge_constraint,
+        g={label: problem.allowed_outputs(label) for label in problem.sigma_in},
+        name=name,
+    )
+
+
+def test_each_caller_gets_its_own_problem_back():
+    zero_round._search.cache_clear()
+    first = renamed(catalog.trivial(3), "first")
+    second = renamed(catalog.trivial(3), "second")
+    assert first == second and first is not second
+
+    found_first = find_zero_round_algorithm(first)
+    found_second = find_zero_round_algorithm(second)
+    assert zero_round._search.cache_info().hits == 1
+
+    assert found_first.problem is first
+    assert found_second.problem is second
+    assert (found_first.clique, found_first.table) == (
+        found_second.clique,
+        found_second.table,
+    )

@@ -24,9 +24,6 @@ EXPECTED_KNOBS = {
     "REPRO_BITSET": "bool",
     "REPRO_BITSET_DIFF_COUNT": "int",
     "REPRO_SAT": "bool",
-    "REPRO_SAT_SOLVER": "str",
-    "REPRO_SAT_TIMEOUT": "float",
-    "REPRO_SAT_DIFF_COUNT": "int",
     "REPRO_SCHED_WORKERS": "int",
     "REPRO_SCHED_LEASE_SECS": "float",
     "REPRO_SCHED_BACKOFF_BASE": "float",

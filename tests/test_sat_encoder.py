@@ -1,48 +1,40 @@
-"""Property tests for the 0-round CNF encoder and the bundled solver.
+"""Property tests for the 0-round search of :mod:`repro.roundelim.zero_round`.
 
-The encoder is the trust anchor of the SAT decision kernels: every
-verdict the dispatch serves starts as clauses produced by
-:class:`ZeroRoundEncoder` and ends as a model validated by
-``decode_clique``, so the differential guarantees of
-``tests/test_sat_differential.py`` reduce to the properties pinned here:
+The search is the trust anchor of the base decision of Theorem 3.10:
+every verdict starts as a maximal-clique query and ends as an ``A_det``
+table the engine-free checker re-proves.  The module keeps the name it
+had when these properties were pinned on the retired CNF encoder, so its
+test ids stay stable.  Pinned here:
 
 * **round-trip** — on instances with a *planted* deterministic 0-round
-  solution (:func:`solvable_random_lcl`), some maximal-clique query is
-  satisfiable, the model satisfies the formula, and the decoded clique
-  survives the decoder's full validation (totality, clause
-  satisfaction, cliqueness, cover);
-* **relabeling invariance** — renaming output labels changes neither
-  the clause *set* (modulo the variable correspondence induced by the
-  encoder's own semantics) nor, for order-preserving renamings, a
-  single literal of the clause *list*.  This is the CNF-level analogue
-  of :func:`canonical_hash` identity, which the same test asserts;
-* **loud refusal** — shapes beyond the encoder caps raise
-  :exc:`SatUnsupported` before any clause is emitted, which is what
-  lets the dispatch fall back to enumeration;
-* **bounded search** — step budgets, the interrupt callback, and the
-  driver's wall-clock deadline all surface as
-  :exc:`SatBudgetExceeded`, never as a hang or a wrong answer.
+  solution (:func:`solvable_random_lcl`), the search finds a table, the
+  engine-free checker accepts it, and the algorithm serves every input
+  tuple from inside its clique;
+* **completeness** — querying only the maximal self-looped cliques
+  decides exactly what a query over *every* self-looped clique decides
+  (covering is monotone in the clique);
+* **relabeling** — any renaming of output labels keeps the decision and
+  maps a valid table to a valid table; one that preserves
+  ``label_sort_key`` order yields the same clique and table, pushed
+  through the renaming;
+* **loud refusal** — an empty degree set raises instead of deciding.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ProblemDefinitionError
 from repro.lcl import catalog
 from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.lcl.random_problems import random_lcl, solvable_random_lcl
+from repro.roundelim import zero_round
 from repro.roundelim.canonical import canonical_hash
-from repro.sat import (
-    CnfFormula,
-    DpllSolver,
-    MAX_DEGREE,
-    SatBudgetExceeded,
-    SatSolver,
-    SatUnsupported,
-    ZeroRoundEncoder,
-    solve_formula,
-)
+from repro.roundelim.zero_round import decide_zero_round, find_zero_round_algorithm
 from repro.utils.multiset import Multiset, label_sort_key
+from repro.verify.refute import check_zero_round_table
 
 seeds = st.integers(min_value=0, max_value=9_999)
 
@@ -76,55 +68,52 @@ class TestRoundTrip:
     @given(seeds)
     def test_planted_instances_solve_and_decode(self, seed):
         problem = solvable_random_lcl(seed, num_labels=4, max_degree=3)
-        encoder = ZeroRoundEncoder(problem)
-        covering = None
-        with SatSolver(
-            encoder.formula, decision_order=encoder.decision_order()
-        ) as solver:
-            for clique in encoder.maximal_cliques():
-                model = solver.solve(encoder.assumptions_excluding(clique))
-                if model is None:
-                    continue
-                assert encoder.formula.satisfied_by(model)
-                decoded = encoder.decode_clique(model)
-                assert decoded <= clique
-                assert encoder.first_uncoverable(decoded) is None
-                covering = decoded
-                break
-        assert covering is not None, f"planted 0-round solution lost (seed {seed})"
+        algorithm = find_zero_round_algorithm(problem)
+        assert algorithm is not None, f"planted 0-round solution lost (seed {seed})"
+        clique = sorted(algorithm.clique, key=repr)
+        assert check_zero_round_table(problem, clique, algorithm.table) == []
+        for input_tuple in algorithm.table:
+            for ordered in set(itertools.permutations(input_tuple)):
+                outputs = algorithm.outputs_for(ordered)
+                assert set(outputs) <= algorithm.clique
+                for label, output in zip(ordered, outputs):
+                    assert output in problem.allowed_outputs(label)
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
     def test_global_solve_agrees_with_clique_queries(self, seed):
-        # The un-assumed formula is satisfiable exactly when some
-        # maximal-clique query is: monotonicity of covering in the
-        # clique, which the per-clique dispatch relies on.
+        # Some self-looped clique covers exactly when some *maximal* one
+        # does: monotonicity of covering in the clique, which the
+        # maximal-clique search relies on.
         problem = random_lcl(seed, num_labels=4, max_degree=2, num_inputs=1)
-        encoder = ZeroRoundEncoder(problem)
-        with SatSolver(
-            encoder.formula, decision_order=encoder.decision_order()
-        ) as solver:
-            per_clique = any(
-                solver.solve(encoder.assumptions_excluding(clique)) is not None
-                for clique in encoder.maximal_cliques()
+        degrees = problem.degrees()
+        looped = [
+            label
+            for label in sorted(problem.sigma_out, key=label_sort_key)
+            if problem.allows_edge(label, label)
+        ]
+        cliques = [
+            frozenset(subset)
+            for size in range(1, len(looped) + 1)
+            for subset in itertools.combinations(looped, size)
+            if all(
+                problem.allows_edge(a, b) for a, b in itertools.combinations(subset, 2)
             )
-            unassumed = solver.solve()
-        if unassumed is not None:
-            assert encoder.formula.satisfied_by(unassumed)
-            encoder.decode_clique(unassumed)
-        assert (unassumed is not None) == per_clique
+        ]
+        every_clique = any(
+            zero_round._cover_with_clique(problem, clique, degrees) is not None
+            for clique in cliques
+        )
+        assert decide_zero_round(problem) == every_clique
 
 
 class TestRelabelingInvariance:
-    @staticmethod
-    def _semantic_key(role, map_label):
-        if role[0] == "s":
-            return ("s", map_label(role[1]))
-        return ("u", role[1], Multiset(map_label(x) for x in role[2]))
-
     @settings(max_examples=40, deadline=None)
     @given(seeds, st.data())
     def test_clause_set_invariant_under_any_relabeling(self, seed, data):
+        # Renaming output labels permutes the problem's constraints
+        # (same canonical hash), so it cannot change the decision, and a
+        # table pushed through the renaming solves the renamed problem.
         problem = random_lcl(seed, num_labels=4, max_degree=2, num_inputs=2)
         labels = sorted(problem.sigma_out, key=label_sort_key)
         fresh = data.draw(
@@ -134,130 +123,43 @@ class TestRelabelingInvariance:
         renamed = relabel(problem, mapping)
         assert canonical_hash(renamed) == canonical_hash(problem)
 
-        original = ZeroRoundEncoder(problem)
-        relabeled = ZeroRoundEncoder(renamed)
-        assert relabeled.formula.num_vars == original.formula.num_vars
-        assert relabeled.formula.num_clauses == original.formula.num_clauses
-
-        # Translate the original clauses into the relabeled encoder's
-        # variable numbering via each encoder's own semantics.
-        target = {
-            self._semantic_key(role, lambda x: x): var
-            for var, role in relabeled.var_semantics().items()
+        original = find_zero_round_algorithm(problem)
+        assert decide_zero_round(renamed) == (original is not None)
+        if original is None:
+            return
+        pushed = {
+            inputs: tuple(mapping[x] for x in outputs)
+            for inputs, outputs in original.table.items()
         }
-        translate = {
-            var: target[self._semantic_key(role, lambda x: mapping[x])]
-            for var, role in original.var_semantics().items()
-        }
-        translated = {
-            frozenset(
-                (1 if literal > 0 else -1) * translate[abs(literal)]
-                for literal in clause
-            )
-            for clause in original.formula.clauses
-        }
-        expected = {frozenset(clause) for clause in relabeled.formula.clauses}
-        assert translated == expected
+        clique = sorted((mapping[x] for x in original.clique), key=label_sort_key)
+        assert check_zero_round_table(renamed, clique, pushed) == []
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_order_preserving_relabeling_is_a_no_op(self, seed):
         # A renaming that preserves label_sort_key order preserves every
-        # rank, so the encoder must emit literally identical clauses.
+        # rank, so the search must pick the same clique and rules.
         problem = random_lcl(seed, num_labels=4, max_degree=2, num_inputs=1)
         labels = sorted(problem.sigma_out, key=label_sort_key)
         mapping = {label: f"q{index:03d}" for index, label in enumerate(labels)}
         renamed = relabel(problem, mapping)
 
-        original = ZeroRoundEncoder(problem)
-        relabeled = ZeroRoundEncoder(renamed)
-        assert relabeled.formula.clauses == original.formula.clauses
-        assert relabeled.decision_order() == original.decision_order()
-        assert [
-            frozenset(mapping[x] for x in clique)
-            for clique in original.maximal_cliques()
-        ] == [frozenset(clique) for clique in relabeled.maximal_cliques()]
+        original = find_zero_round_algorithm(problem)
+        relabeled = find_zero_round_algorithm(renamed)
+        assert (original is None) == (relabeled is None)
+        if original is None:
+            return
+        assert relabeled.clique == frozenset(mapping[x] for x in original.clique)
+        assert relabeled.table == {
+            inputs: tuple(mapping[x] for x in outputs)
+            for inputs, outputs in original.table.items()
+        }
 
 
 class TestLoudRefusal:
-    def test_degree_beyond_cap_is_unsupported(self):
-        wide = catalog.trivial(MAX_DEGREE + 1)
-        with pytest.raises(SatUnsupported, match="degree"):
-            ZeroRoundEncoder(wide)
-
     def test_no_degrees_is_unsupported(self):
         problem = catalog.trivial(2)
-        with pytest.raises(SatUnsupported, match="degrees"):
-            ZeroRoundEncoder(problem, degrees=())
-
-    def test_tuple_blow_up_is_unsupported(self, monkeypatch):
-        monkeypatch.setattr("repro.sat.encode.MAX_TUPLES", 2)
-        with pytest.raises(SatUnsupported, match="tuple count"):
-            ZeroRoundEncoder(catalog.trivial(3))
-
-    def test_variable_blow_up_is_unsupported(self, monkeypatch):
-        monkeypatch.setattr("repro.sat.cnf.MAX_VARIABLES", 3)
-        formula = CnfFormula()
-        for _ in range(3):
-            formula.new_var()
-        with pytest.raises(SatUnsupported, match="variable"):
-            formula.new_var()
-
-    def test_unknown_solver_mode_is_unsupported(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "minisat")
-        with pytest.raises(SatUnsupported, match="REPRO_SAT_SOLVER"):
-            SatSolver(CnfFormula())
-
-    def test_pysat_mode_without_pysat_is_unsupported(self, monkeypatch):
-        import repro.sat.solver as solver_module
-
-        monkeypatch.setattr(solver_module, "_pysat_probe", False)
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "pysat")
-        with pytest.raises(SatUnsupported, match="pysat"):
-            SatSolver(CnfFormula())
-
-
-def _chain_formula(num_vars):
-    """A long implication chain: one unit clause, then v_i -> v_{i+1}.
-
-    Propagation assigns every variable, costing ``num_vars`` steps —
-    enough to cross the interrupt poll mask deterministically.
-    """
-    formula = CnfFormula()
-    variables = [formula.new_var() for _ in range(num_vars)]
-    formula.add_clause((variables[0],))
-    for previous, current in zip(variables, variables[1:]):
-        formula.add_clause((-previous, current))
-    return formula
-
-
-class TestBoundedSearch:
-    def test_step_budget_trips(self):
-        formula = _chain_formula(64)
-        with pytest.raises(SatBudgetExceeded, match="step budget"):
-            solve_formula(formula, max_steps=8)
-
-    def test_interrupt_callback_trips(self):
-        formula = _chain_formula(600)
-        solver = DpllSolver(formula, interrupt=lambda: True)
-        with pytest.raises(SatBudgetExceeded, match="interrupted"):
-            solver.solve()
-
-    def test_wall_clock_deadline_trips(self):
-        formula = _chain_formula(600)
-        with SatSolver(formula, timeout=0.0) as solver:
-            with pytest.raises(SatBudgetExceeded):
-                solver.solve()
-
-    def test_budget_survivor_is_still_correct(self):
-        formula = _chain_formula(64)
-        model = solve_formula(formula)
-        assert model is not None and formula.satisfied_by(model)
-        assert all(model[var] for var in model)
-
-    def test_assumption_conflict_does_not_poison_later_queries(self):
-        formula = _chain_formula(8)
-        solver = DpllSolver(formula)
-        assert solver.solve(assumptions=(-8,)) is None
-        model = solver.solve()
-        assert model is not None and formula.satisfied_by(model)
+        with pytest.raises(ProblemDefinitionError, match="degrees"):
+            find_zero_round_algorithm(problem, degrees=())
+        with pytest.raises(ProblemDefinitionError, match="degrees"):
+            decide_zero_round(problem, degrees=())
