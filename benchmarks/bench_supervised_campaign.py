@@ -1,13 +1,13 @@
 """Experiment SUP: the cost and value of supervised campaigns.
 
 The supervisor (:mod:`repro.supervisor`) is the production posture for
-landscape sweeps: per-cell subprocess isolation, bounded deterministic
-retries, journaled resume, structured quarantine.  This experiment
-measures what that posture costs and proves what it buys:
+landscape sweeps: cells isolated in a persistent worker process, bounded
+deterministic retries, journaled resume, structured quarantine.  This
+experiment measures what that posture costs and proves what it buys:
 
 * supervision overhead — the same VOLUME panel campaign measured inline
-  (clean serial baseline), under subprocess isolation, and isolated with
-  a journal attached (per-line checksum + flush + fsync);
+  (clean serial baseline), isolated in one worker process, and isolated
+  with a journal attached (per-line checksum + flush + fsync);
 * chaos recovery — the campaign re-run under injected ``sim_crash`` /
   ``sim_oom`` / ``journal_torn`` faults with retries, asserting per-cell
   values **bit-identical** to the clean serial baseline;
@@ -16,16 +16,17 @@ measures what that posture costs and proves what it buys:
 * scheduler scaling — the same campaign across 1/2/4 lease-supervised
   worker processes (:mod:`repro.scheduler`), values and journal bytes
   pinned to the serial run, wall-clock recorded to
-  ``results/BENCH_scheduler.json`` over time.
+  ``results/BENCH_scheduler.json`` over time together with the number
+  of CPUs the process may run on.
 """
 
 import json
-import os
 import time
 
 from conftest import RESULTS_DIR, write_report
 
 from repro.scheduler import SchedulerConfig, run_scheduled_campaign
+from repro.scheduler.engine import usable_cpu_count
 from repro.supervisor import CampaignConfig, open_journal, run_campaign
 from repro.supervisor.measurements import assemble_panel, plan_panel
 from repro.utils import faults
@@ -81,7 +82,7 @@ def run_experiment(tmp_dir):
     cells = len(plan.cells)
     rows = [
         ("inline (clean serial baseline)", t_inline, baseline),
-        ("subprocess isolation", t_process, isolated),
+        ("worker isolation", t_process, isolated),
         ("isolation + journal", t_journal, journaled),
         ("journal resume (no recompute)", t_resume, resumed),
         (f"chaos {CHAOS} + retries", t_chaos, chaotic),
@@ -126,7 +127,7 @@ def run_scaling_experiment(tmp_dir):
     serial_bytes = serial_journal.path.read_bytes()
 
     cells = len(plan.cells)
-    cores = os.cpu_count() or 1
+    cores = usable_cpu_count()
     rows = [
         {
             "mode": "serial",

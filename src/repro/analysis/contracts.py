@@ -203,12 +203,11 @@ ENVIRON_CALLS = frozenset({"os.getenv", "os.environ.get"})
 # --------------------------------------------------------------------------
 
 #: Decorator name whose decorated function runs inside a forked
-#: supervisor cell (``@register_runner("name")`` in repro.supervisor).
+#: scheduler worker (``@register_runner("name")`` in repro.supervisor).
 FORK_RUNNER_DECORATORS = frozenset({"register_runner"})
 
 #: Qualname suffixes that are fork-child entrypoints by construction.
 FORK_ENTRYPOINT_SUFFIXES: Tuple[str, ...] = (
-    "supervisor.isolation._child_entry",
     "supervisor.isolation._execute",
     "scheduler.worker._worker_main",
 )

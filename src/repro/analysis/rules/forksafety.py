@@ -5,11 +5,10 @@ a pool must be a module-level function (picklable under the spawn start
 method).  This rule checks everything *behind* the project's own fork
 boundaries.  Starting from the fork roots —
 
-* ``@register_runner`` cell runners (executed inside the isolated
-  supervisor cell subprocess), and
-* the supervisor and scheduler child entrypoints themselves
-  (``supervisor.isolation._child_entry`` / ``_execute``,
-  ``scheduler.worker._worker_main``) —
+* ``@register_runner`` cell runners (executed inside a forked
+  scheduler worker), and
+* the worker-side entrypoints themselves
+  (``supervisor.isolation._execute``, ``scheduler.worker._worker_main``) —
 
 it walks the project call graph and flags, anywhere in the reachable
 set:

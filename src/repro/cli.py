@@ -33,7 +33,8 @@ reported.
 
 The measured ``landscape`` panels (``trees`` / ``grids`` / ``volume``)
 run as supervised campaigns (:mod:`repro.supervisor`): ``--isolate``
-selects per-cell subprocess isolation, ``--cell-timeout`` /
+selects whether cells run in a persistent worker process or inline,
+``--cell-timeout`` /
 ``--cell-mem-mb`` / ``--cell-retries`` bound each cell, and
 ``--journal`` / ``--resume`` persist completed cells to an append-only
 checksummed journal and restore them bit-identically after a crash or
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--isolate",
         choices=["process", "inline"],
         default="process",
-        help="run each cell in a supervised subprocess (default) or inline",
+        help="run cells in a supervised worker process (default) or inline",
     )
     landscape.add_argument(
         "--cell-timeout",

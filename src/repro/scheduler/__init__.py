@@ -1,26 +1,28 @@
-"""Lease-based multi-worker campaign scheduler with crash recovery.
+"""The campaign engine: lease-based workers with crash recovery.
 
-This package runs a supervised campaign (:mod:`repro.supervisor`)
-across N concurrent worker processes instead of serially, while keeping
-the supervisor's headline contract: the final journal and report are
-**byte-identical** to an undisturbed serial
-:func:`~repro.supervisor.campaign.run_campaign` of the same cells and
-seed — even while workers crash, hang, stall their heartbeats, or
-double-complete cells.
+Every supervised campaign (:mod:`repro.supervisor`) runs on this one
+engine.  :func:`run_scheduled_campaign` runs it across N concurrent
+persistent worker processes; serial
+:func:`~repro.supervisor.campaign.run_campaign` is the same engine on one
+worker, or on none (inline).  The headline contract holds at every
+width: the final journal and report are **byte-identical** to an
+undisturbed serial run of the same cells and seed — even while workers
+crash, hang, stall their heartbeats, or double-complete cells.
 
 The moving parts:
 
 * :mod:`repro.scheduler.queue` — a task queue sharded by canonical
   cell id, with not-before times so retry backoff never blocks a
-  worker;
+  worker, and failed or reclaimed cells back at the head of their shard;
 * :mod:`repro.scheduler.leases` — lease records with deadlines renewed
   by worker heartbeats; an expired lease means a dead or stalled
   worker, and its cell is reclaimed and re-dispatched;
-* :mod:`repro.scheduler.worker` — the worker process: runs one cell
-  attempt at a time (reusing the supervisor's isolation machinery),
-  journals each completion to its own shard *before* reporting it;
-* :mod:`repro.scheduler.engine` — the parent event loop:
-  :func:`run_scheduled_campaign`.
+* :mod:`repro.scheduler.worker` — the worker process and the campaign's
+  only isolation boundary: one memory cap per worker, one cell attempt
+  at a time in its own process, each completion journaled to its own
+  shard *before* it is reported;
+* :mod:`repro.scheduler.engine` — the parent event loop: timeouts,
+  worker deaths, reclaims, retries, merge and finalize.
 
 Use :func:`run_scheduled_campaign` exactly like ``run_campaign``; the
 extra :class:`SchedulerConfig` shapes concurrency only, never results.

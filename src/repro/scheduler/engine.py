@@ -1,21 +1,28 @@
-"""The scheduler engine: dispatch, leases, recovery, merge, finalize.
+"""The campaign engine: dispatch, leases, recovery, merge, finalize.
 
-:func:`run_scheduled_campaign` is the multi-worker counterpart of
-:func:`repro.supervisor.campaign.run_campaign`, with the same contract
-(every cell reaches a terminal result; failures are quarantined, never
-raised) plus crash recovery:
+One engine runs every supervised campaign.  :func:`run_scheduled_campaign`
+runs it on N persistent worker processes; serial
+:func:`repro.supervisor.campaign.run_campaign` is its one-worker case
+(``isolation="process"``) or its zero-worker case (``"inline"``: attempts
+run in the calling process).  The contract is the same at every width —
+every cell reaches a terminal result; failures are quarantined, never
+raised:
 
 * cells are dispatched from a queue sharded by canonical cell id, one
   in-flight cell per worker, each under a heartbeat-renewed **lease**;
-* a worker that dies or stops heartbeating forfeits its lease and the
-  cell is **reclaimed** and re-dispatched (at-least-once execution) —
-  a reclaim is a worker-level loss, so it never consumes one of the
-  cell's retries;
-* failed attempts are retried with the same deterministic seeded
-  backoff serial supervision applies
+* the worker is the isolation boundary: it reports ``started`` just
+  before the cell body runs, the engine kills a worker whose started
+  cell passes the cell timeout (``timeout``), and a worker that dies on
+  its own after ``started`` is classified from its exit code
+  (``signal`` / ``lost``) — each of these is a failed cell attempt;
+* a worker lost *before* ``started``, or whose lease expires, is a
+  worker-level loss: the cell is **reclaimed** and re-dispatched
+  (at-least-once execution) without consuming one of its retries;
+* failed attempts are retried with deterministic seeded backoff
   (:func:`repro.supervisor.campaign.retry_delay`), realized as
-  ``not_before`` dispatch times so a backing-off cell never blocks a
-  worker;
+  ``not_before`` dispatch times; the retried cell holds the head of its
+  shard, so with one shard every attempt — and every per-dispatch fault
+  draw — happens in serial order;
 * **duplicate completions** (an expected consequence of at-least-once
   execution, and an injectable chaos kind) are deduplicated by cell
   id; the discarded copy is asserted bit-identical to the kept one —
@@ -25,7 +32,9 @@ raised) plus crash recovery:
   reporting them; on resume the shards are merged into the canonical
   journal, and when the campaign finishes the journal is atomically
   rewritten into canonical campaign order — byte-identical to the
-  journal of an undisturbed serial run;
+  journal of an undisturbed serial run.  The zero-worker case appends
+  each terminal result straight to the canonical journal instead (no
+  shards, no rewrite);
 * ``SIGTERM`` / ``KeyboardInterrupt`` trigger a graceful **drain**:
   no new dispatches, a bounded wait for in-flight cells, shard merge,
   then the interrupt propagates; a resumed run loses nothing that was
@@ -37,12 +46,13 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import multiprocessing.connection
+import os
 import signal
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.exceptions import SchedulerError, SchedulerHalted, SupervisorError
 from repro.scheduler import worker as worker_module
@@ -55,10 +65,12 @@ from repro.supervisor.campaign import (
     verify_resume_key,
 )
 from repro.supervisor.cells import (
+    STATUS_OK,
     STATUS_QUARANTINED,
     CellResult,
     CellSpec,
 )
+from repro.supervisor.isolation import run_attempt_inline
 from repro.supervisor.journal import CampaignJournal, load_cell_records
 from repro.utils import env, faults
 
@@ -75,6 +87,16 @@ _TICK_SECONDS = 0.02
 _TERMINATE_GRACE_SECONDS = 1.0
 
 
+def usable_cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (CPU pinning, cgroup cpusets), else every CPU
+    of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Concurrency parameters for one scheduled campaign.
@@ -82,7 +104,8 @@ class SchedulerConfig:
     Shapes *scheduling only* — worker count, lease deadlines, drain
     budget — never cell values or journal contents, so the same
     campaign run under any scheduler configuration (including serial
-    ``run_campaign``) produces the same results.
+    ``run_campaign``) produces the same results.  ``workers`` defaults
+    to the ``REPRO_SCHED_WORKERS`` knob, else the usable CPUs, at most 4.
     """
 
     workers: Optional[int] = None
@@ -100,7 +123,7 @@ class SchedulerConfig:
         declared = env.get_int(ENV_SCHED_WORKERS)
         if declared is not None:
             return max(1, declared)
-        return min(multiprocessing.cpu_count(), 4)
+        return min(usable_cpu_count(), 4)
 
     def resolved_lease_secs(self) -> float:
         if self.lease_secs is not None:
@@ -151,8 +174,9 @@ class _WorkerHandle:
     process: Any
     conn: multiprocessing.connection.Connection
     busy: Optional[Task] = None
-    #: Set once the pipe has raised EOF — no more messages can arrive.
-    pipe_closed: bool = False
+    #: When the busy cell's body started (the worker's ``started``
+    #: message); ``None`` until then.
+    started_at: Optional[float] = None
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -176,13 +200,14 @@ def _fresh_result(payload: Dict[str, Any]) -> CellResult:
 
 
 class _Engine:
-    """One scheduled campaign run's mutable state and event loop."""
+    """One campaign run's mutable state and event loop."""
 
     def __init__(
         self,
         cells: Sequence[CellSpec],
         config: CampaignConfig,
         scheduler: SchedulerConfig,
+        workers: int,
         journal: Optional[CampaignJournal],
         progress: Optional[Callable[[str], None]],
         halt_after: Optional[int],
@@ -200,11 +225,9 @@ class _Engine:
         self.mem_mb = config.resolved_mem_mb()
         self.retries = config.resolved_retries()
         self.policy = config.resolved_backoff()
-        self.isolation = config.isolation
         self.lease_secs = scheduler.resolved_lease_secs()
         self.heartbeat_secs = scheduler.resolved_heartbeat_secs()
-        workers = scheduler.resolved_workers()
-        self.target_workers = max(1, min(workers, max(1, len(self.cells))))
+        self.target_workers = min(workers, max(1, len(self.cells)))
         self.leases = LeaseTable(self.lease_secs)
         self.queue = ShardedTaskQueue(nshards=max(self.target_workers, 1))
         self.handles: Dict[int, _WorkerHandle] = {}
@@ -246,7 +269,7 @@ class _Engine:
     # -- resume --------------------------------------------------------------
     def restore(self, resume: bool) -> None:
         """Load completed cells from the canonical journal and any
-        leftover shards of a previous (crashed) scheduled run."""
+        leftover shards of a previous (crashed) run."""
         if self.journal is None:
             return
         if not resume:
@@ -287,6 +310,12 @@ class _Engine:
             if cell_id in known:
                 self.payloads[cell_id] = body
                 self.results[cell_id] = CellResult.from_payload(body)
+        if completed:
+            logger.info(
+                "journal %s: resuming %d completed cell(s)",
+                self.journal.path.name,
+                len(self.payloads),
+            )
 
     # -- workers -------------------------------------------------------------
     def _spawn_worker(self) -> _WorkerHandle:
@@ -300,14 +329,10 @@ class _Engine:
                 worker_id,
                 self.config.seed,
                 str(self._shard_path(worker_id)),
-                self.timeout,
                 self.mem_mb,
-                self.isolation,
                 self.heartbeat_secs,
             ),
-            # Workers fork per-attempt subprocesses, which daemonic
-            # processes may not do; the engine kills them explicitly.
-            daemon=False,
+            daemon=True,
         )
         process.start()
         child_conn.close()
@@ -362,25 +387,138 @@ class _Engine:
                 f"{len(self.payloads)}/{len(self.cells)} cell(s) recorded"
             )
 
-    def _quarantine(self, task: Task, classification: str, reason: str,
-                    traceback: str = "") -> None:
-        result = CellResult(
-            spec=task.spec,
-            status=STATUS_QUARANTINED,
-            attempts=task.attempt + 1,
-            classification=classification,
-            reason=reason,
-            traceback=traceback,
-            delays=tuple(task.delays),
-        )
+    def _journal_terminal(self, result: CellResult) -> None:
+        """Record a terminal result produced in this process, appending
+        it to the canonical journal first (workers journal their own
+        completions to their shards)."""
         payload = result.payload()
         if self.journal is not None:
-            # Quarantines are journaled by the parent (workers only
-            # journal completions they produced).
             self.journal.append_cell(payload)
         self._record_terminal(payload, result)
 
+    def _quarantine(
+        self, task: Task, classification: str, reason: str, traceback: str = ""
+    ) -> None:
+        self._journal_terminal(
+            CellResult(
+                spec=task.spec,
+                status=STATUS_QUARANTINED,
+                attempts=task.attempt + 1,
+                classification=classification,
+                reason=reason,
+                traceback=traceback,
+                delays=tuple(task.delays),
+            )
+        )
+
+    def _attempt_failed(
+        self, task: Task, classification: str, reason: str, traceback: str = ""
+    ) -> None:
+        """A cell attempt failed: retry it from the head of its shard
+        after its backoff, or quarantine it once its retries are spent."""
+        cell_id = task.cell_id()
+        logger.warning(
+            "cell %s attempt %d/%d failed (%s): %s",
+            cell_id,
+            task.attempt + 1,
+            1 + self.retries,
+            classification,
+            reason,
+        )
+        if task.attempt >= self.retries:
+            self._quarantine(task, classification, reason, traceback)
+            return
+        pause = retry_delay(
+            self.policy, self.config.seed, cell_id, task.attempt, classification
+        )
+        task.delays.append(pause)
+        task.attempt += 1
+        self.queue.retry(task, not_before=time.monotonic() + pause)
+
+    def _reclaim(self, task: Task, worker_id: int, why: str) -> None:
+        """A worker was lost before its cell's body ran to a verdict
+        (death before ``started``, expired lease): re-dispatch the cell
+        without consuming one of its retries."""
+        self.stats.reclaims += 1
+        task.reclaims += 1
+        if task.reclaims > self.scheduler.max_reclaims:
+            self._quarantine(
+                task,
+                "lost",
+                f"worker lost {task.reclaims} time(s) while running this "
+                f"cell (last: {why})",
+            )
+            return
+        logger.warning(
+            "cell %s: reclaiming lease from worker %d (%s); re-dispatching",
+            task.cell_id(),
+            worker_id,
+            why,
+        )
+        self.queue.retry(task, not_before=time.monotonic())
+
+    # -- attempts ------------------------------------------------------------
+    def _draw_faults(
+        self, task: Task, where: str, sched: bool
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """This dispatch's fault instructions, drawn here so the
+        occurrence counters live in one process."""
+        sim_instructions = faults.fire_sim_faults()
+        sched_instructions = faults.fire_sched_faults() if sched else ()
+        if sim_instructions or sched_instructions:
+            logger.warning(
+                "cell %s attempt %d (%s): injecting %s",
+                task.cell_id(),
+                task.attempt + 1,
+                where,
+                ",".join(sim_instructions + sched_instructions),
+            )
+        return sim_instructions, sched_instructions
+
+    def _run_inline(self) -> None:
+        """The zero-worker case: every attempt runs in this process, in
+        queue order, and draws no scheduler faults."""
+        while len(self.payloads) < len(self.cells):
+            now = time.monotonic()
+            task = self.queue.pop_ready(now)
+            if task is None:
+                ready_at = self.queue.next_ready_at()
+                time.sleep(max(0.0, (ready_at or now) - now))
+                continue
+            instructions, _ = self._draw_faults(task, "inline", sched=False)
+            outcome = run_attempt_inline(task.spec, self.config.seed, instructions)
+            if not outcome.ok:
+                self._attempt_failed(
+                    task, outcome.classification, outcome.reason, outcome.traceback
+                )
+                continue
+            self._journal_terminal(
+                CellResult(
+                    spec=task.spec,
+                    status=STATUS_OK,
+                    value=outcome.value,
+                    attempts=task.attempt + 1,
+                    delays=tuple(task.delays),
+                )
+            )
+
     # -- message handling ----------------------------------------------------
+    def _handle_message(self, handle: _WorkerHandle, message: Tuple[Any, ...]) -> None:
+        tag = message[0]
+        if tag == worker_module.MSG_HEARTBEAT:
+            self.leases.renew_worker(message[1], time.monotonic())
+        elif tag == worker_module.MSG_STARTED:
+            handle.started_at = time.monotonic()
+        elif tag == worker_module.MSG_DONE:
+            self._handle_done(handle, message[2])
+        elif tag == worker_module.MSG_FAIL:
+            task, handle.busy = handle.busy, None
+            if task is not None:
+                self.leases.release(task.cell_id())
+                self._attempt_failed(task, *message[2:])
+        else:  # pragma: no cover - protocol drift guard
+            raise SchedulerError(f"unknown worker message tag {tag!r}")
+
     def _handle_done(self, handle: _WorkerHandle, payload: Dict[str, Any]) -> None:
         cell_id = str(payload["cell"])
         self.leases.release(cell_id)
@@ -400,80 +538,6 @@ class _Engine:
             return
         self._record_terminal(payload)
 
-    def _handle_fail(
-        self,
-        handle: _WorkerHandle,
-        spec_payload: Dict[str, Any],
-        attempt: int,
-        delays: List[float],
-        classification: str,
-        reason: str,
-        traceback: str,
-    ) -> None:
-        spec = CellSpec.from_payload(spec_payload)
-        cell_id = spec.cell_id()
-        self.leases.release(cell_id)
-        if handle.busy is not None and handle.busy.cell_id() == cell_id:
-            reclaims = handle.busy.reclaims
-            handle.busy = None
-        else:  # pragma: no cover - fail raced a reclaim
-            reclaims = 0
-        logger.warning(
-            "cell %s attempt %d/%d failed (%s): %s",
-            cell_id,
-            attempt + 1,
-            1 + self.retries,
-            classification,
-            reason,
-        )
-        task = Task(
-            spec=spec,
-            attempt=attempt,
-            delays=list(delays),
-            reclaims=reclaims,
-        )
-        if attempt < self.retries:
-            pause = retry_delay(
-                self.policy, self.config.seed, cell_id, attempt, classification
-            )
-            task.delays.append(pause)
-            task.attempt = attempt + 1
-            self.queue.push(task, not_before=time.monotonic() + pause)
-            return
-        task.attempt = self.retries
-        self._quarantine(task, classification, reason, traceback)
-
-    def _reclaim(self, handle: _WorkerHandle, why: str) -> None:
-        """A worker was lost (death or expired lease): reclaim its cell
-        and re-dispatch, without consuming one of the cell's retries."""
-        task = handle.busy
-        handle.busy = None
-        if task is None:
-            return
-        cell_id = task.cell_id()
-        self.leases.release(cell_id)
-        if cell_id in self.payloads:
-            # Its completion already arrived (e.g. the worker died
-            # right after reporting) — nothing to reclaim.
-            return
-        self.stats.reclaims += 1
-        task.reclaims += 1
-        if task.reclaims > self.scheduler.max_reclaims:
-            self._quarantine(
-                task,
-                "lost",
-                f"worker lost {task.reclaims} time(s) while running this "
-                f"cell (last: {why})",
-            )
-            return
-        logger.warning(
-            "cell %s: reclaiming lease from worker %d (%s); re-dispatching",
-            cell_id,
-            handle.worker_id,
-            why,
-        )
-        self.queue.push(task, not_before=time.monotonic())
-
     # -- event loop ----------------------------------------------------------
     def _dispatch_ready(self) -> None:
         now = time.monotonic()
@@ -483,15 +547,9 @@ class _Engine:
             task = self.queue.pop_ready(now)
             if task is None:
                 return
-            sim_instructions = faults.fire_sim_faults()
-            sched_instructions = faults.fire_sched_faults()
-            if sim_instructions or sched_instructions:
-                logger.warning(
-                    "cell %s dispatch to worker %d: injecting %s",
-                    task.cell_id(),
-                    handle.worker_id,
-                    ",".join(sim_instructions + sched_instructions),
-                )
+            sim_instructions, sched_instructions = self._draw_faults(
+                task, f"worker {handle.worker_id}", sched=True
+            )
             try:
                 handle.conn.send(
                     (
@@ -505,78 +563,105 @@ class _Engine:
                 )
             except (BrokenPipeError, OSError):
                 # The worker died between liveness check and send; the
-                # death sweep will respawn it.  Requeue untouched.
-                self.queue.push(task, not_before=now)
+                # sweep will respawn it.  Put the task back untouched.
+                self.queue.retry(task, not_before=now)
                 continue
             handle.busy = task
+            handle.started_at = None
             self.leases.grant(task.cell_id(), handle.worker_id, now)
             self.stats.dispatches += 1
 
+    def _receive(self, handle: _WorkerHandle) -> bool:
+        """Handle one message from ``handle``'s pipe; ``False`` once the
+        pipe is closed."""
+        try:
+            message = handle.conn.recv()
+        except (EOFError, OSError):
+            return False
+        self._handle_message(handle, message)
+        return True
+
     def _drain_messages(self, timeout: float) -> None:
-        watched = [
-            self.handles[worker_id]
-            for worker_id in sorted(self.handles)
-            if not self.handles[worker_id].pipe_closed
-        ]
+        watched = [self.handles[worker_id] for worker_id in sorted(self.handles)]
         if not watched:
             time.sleep(timeout)
             return
         by_conn = {handle.conn: handle for handle in watched}
-        ready = multiprocessing.connection.wait(
-            [handle.conn for handle in watched], timeout=timeout
-        )
+        ready = multiprocessing.connection.wait(list(by_conn), timeout=timeout)
         for conn in ready:
             handle = by_conn[cast(multiprocessing.connection.Connection, conn)]
-            try:
-                message = handle.conn.recv()
-            except (EOFError, OSError):
-                handle.pipe_closed = True
-                continue
-            tag = message[0]
-            now = time.monotonic()
-            if tag == worker_module.MSG_HEARTBEAT:
-                self.leases.renew_worker(message[1], now)
-            elif tag == worker_module.MSG_DONE:
-                self._handle_done(handle, message[2])
-            elif tag == worker_module.MSG_FAIL:
-                self._handle_fail(handle, *message[2:])
-            else:  # pragma: no cover - protocol drift guard
-                raise SchedulerError(f"unknown worker message tag {tag!r}")
+            if handle.worker_id in self.handles and handle.alive():
+                self._receive(handle)
+            # A dead worker's pipe is drained by the sweep.
 
-    def _sweep_failures(self) -> None:
+    def _overran(self, handle: _WorkerHandle, now: float) -> bool:
+        return (
+            self.timeout is not None
+            and handle.busy is not None
+            and handle.started_at is not None
+            and now - handle.started_at >= self.timeout
+        )
+
+    def _sweep_workers(self) -> None:
+        """Retire every worker that died, overran its cell timeout, or
+        let its lease expire, settle its cell, and respawn."""
         now = time.monotonic()
-        # Expired leases first: a wedged-but-alive worker (stalled
-        # heartbeats, hung cell beyond its timeout) must be killed
-        # before its lease's cell can be safely re-dispatched.
-        for lease in self.leases.expired(now):
-            handle = self.handles.get(lease.worker_id)
-            if handle is None:  # pragma: no cover - already swept
-                self.leases.release(lease.cell_id)
-                continue
-            if not handle.process.is_alive():
-                continue  # already dead; the death sweep below reclaims it
-            self.stats.expired_leases += 1
-            logger.warning(
-                "worker %d lease on %s expired; killing worker",
-                lease.worker_id,
-                lease.cell_id,
-            )
-            handle.process.kill()
-            handle.process.join(_TERMINATE_GRACE_SECONDS)
-        # Dead workers: reclaim only after their pipe has been fully
-        # drained, so a completion sent just before death still counts.
+        expired = {lease.worker_id for lease in self.leases.expired(now)}
         for worker_id in sorted(self.handles):
             handle = self.handles[worker_id]
-            if handle.alive():
+            if not handle.alive():
+                self._retire(handle, "died")
                 continue
-            if not handle.pipe_closed and handle.conn.poll():
-                continue  # messages still buffered; next tick drains them
-            self.stats.worker_deaths += 1
-            self._reclaim(handle, "worker process died")
-            self._stop_worker(handle, kill=True)
-            if len(self.payloads) < len(self.cells):
-                self.stats.respawns += 1
-                self._spawn_worker()
+            if self._overran(handle, now):
+                cause = "timeout"
+            elif worker_id in expired:
+                cause = "lease expired"
+                self.stats.expired_leases += 1
+            else:
+                continue
+            logger.warning(
+                "worker %d (%s): killing worker", worker_id, cause
+            )
+            handle.process.kill()
+            handle.process.join()
+            self._retire(handle, cause)
+
+    def _retire(self, handle: _WorkerHandle, cause: str) -> None:
+        # Drain the dead worker's pipe first, so a result it sent just
+        # before the end still counts.
+        while handle.conn.poll() and self._receive(handle):
+            pass
+        self.stats.worker_deaths += 1
+        self._stop_worker(handle, kill=True)
+        task, handle.busy = handle.busy, None
+        if task is not None:
+            self.leases.release(task.cell_id())
+            code = handle.process.exitcode
+            if cause == "timeout":
+                self._attempt_failed(
+                    task,
+                    "timeout",
+                    f"cell exceeded its {self.timeout}s wall-clock cap and its "
+                    f"worker was killed",
+                )
+            elif cause != "died" or handle.started_at is None:
+                # Lost before the cell body ran: a scheduling event.
+                self._reclaim(task, handle.worker_id, f"worker {cause}")
+            elif code is not None and code < 0:
+                self._attempt_failed(
+                    task,
+                    "signal",
+                    f"the worker died on signal {-code} while running the cell",
+                )
+            else:
+                self._attempt_failed(
+                    task,
+                    "lost",
+                    f"the worker exited (code {code}) while running the cell",
+                )
+        if len(self.payloads) < len(self.cells):
+            self.stats.respawns += 1
+            self._spawn_worker()
 
     def run(self) -> None:
         remaining = [
@@ -586,12 +671,15 @@ class _Engine:
             self.queue.push(Task(spec=spec))
         if not remaining:
             return
-        for _ in range(max(1, min(self.target_workers, len(remaining)))):
+        if self.target_workers == 0:
+            self._run_inline()
+            return
+        for _ in range(min(self.target_workers, len(remaining))):
             self._spawn_worker()
         while len(self.payloads) < len(self.cells):
             self._dispatch_ready()
             self._drain_messages(_TICK_SECONDS)
-            self._sweep_failures()
+            self._sweep_workers()
 
     def drain(self) -> None:
         """Graceful shutdown: no new dispatches, bounded wait for
@@ -602,7 +690,7 @@ class _Engine:
             and time.monotonic() < deadline
         ):
             self._drain_messages(_TICK_SECONDS)
-            self._sweep_failures()
+            self._sweep_workers()
         self.merge_shards_into_journal()
 
     def merge_shards_into_journal(self) -> None:
@@ -624,8 +712,9 @@ class _Engine:
     def finalize(self) -> None:
         """All cells terminal: rewrite the journal into canonical
         campaign order (byte-identical to a clean serial run's) and
-        drop the shards."""
-        if self.journal is not None:
+        drop the shards.  The zero-worker case journaled every result in
+        campaign order as it went, so its journal stays as written."""
+        if self.journal is not None and self.target_workers > 0:
             ordered = [
                 self.payloads[spec.cell_id()] for spec in self.cells
             ]
@@ -644,29 +733,21 @@ class _Engine:
         return SchedulerReport(results=ordered, stats=self.stats)
 
 
-def run_scheduled_campaign(
+def run_engine(
     cells: Sequence[CellSpec],
-    config: Optional[CampaignConfig] = None,
-    scheduler: Optional[SchedulerConfig] = None,
+    config: Optional[CampaignConfig],
+    scheduler: SchedulerConfig,
+    workers: int,
     journal: Optional[CampaignJournal] = None,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    _halt_after: Optional[int] = None,
+    halt_after: Optional[int] = None,
 ) -> SchedulerReport:
-    """Run every cell to a terminal result across N worker processes.
-
-    Same contract as :func:`~repro.supervisor.campaign.run_campaign`
-    (never abort; quarantine failures; ``resume=True`` restores
-    journaled cells bit-identically), with worker crashes, hangs, and
-    stalls absorbed via lease reclamation.  ``_halt_after`` is the
-    test-only crash hook: after that many newly recorded cells the
-    engine kills its workers and raises
-    :class:`~repro.exceptions.SchedulerHalted` *without* merging or
-    finalizing — simulating the scheduler process dying — so tests can
-    exercise shard recovery on the next ``resume=True`` run.
-    """
+    """Run every cell to a terminal result on ``workers`` worker
+    processes (``0``: attempts run in this process) — the one engine
+    behind :func:`run_scheduled_campaign` and serial
+    :func:`~repro.supervisor.campaign.run_campaign`."""
     config = config if config is not None else CampaignConfig()
-    scheduler = scheduler if scheduler is not None else SchedulerConfig()
     if resume and journal is None:
         raise SupervisorError("resume requested without a journal")
     if resume and journal is not None:
@@ -678,9 +759,10 @@ def run_scheduled_campaign(
         cells=cells,
         config=config,
         scheduler=scheduler,
+        workers=workers,
         journal=journal,
         progress=progress,
-        halt_after=_halt_after,
+        halt_after=halt_after,
     )
     engine.restore(resume)
 
@@ -697,7 +779,7 @@ def run_scheduled_campaign(
         engine.shutdown()
         engine.finalize()
     except KeyboardInterrupt:
-        logger.warning("interrupt: draining scheduled campaign")
+        logger.warning("interrupt: draining campaign")
         engine.drain()
         engine.shutdown(kill=True)
         raise
@@ -711,8 +793,41 @@ def run_scheduled_campaign(
             signal.signal(signal.SIGTERM, previous_sigterm)
     report = engine.report()
     logger.info(
-        "scheduled campaign finished: %s; %s",
-        report.summary(),
-        engine.stats.summary(),
+        "campaign finished: %s; %s", report.summary(), engine.stats.summary()
     )
     return report
+
+
+def run_scheduled_campaign(
+    cells: Sequence[CellSpec],
+    config: Optional[CampaignConfig] = None,
+    scheduler: Optional[SchedulerConfig] = None,
+    journal: Optional[CampaignJournal] = None,
+    resume: bool = False,
+    progress: Optional[Callable[[str], None]] = None,
+    _halt_after: Optional[int] = None,
+) -> SchedulerReport:
+    """Run every cell to a terminal result across N worker processes.
+
+    Same contract as :func:`~repro.supervisor.campaign.run_campaign`
+    (never abort; quarantine failures; ``resume=True`` restores
+    journaled cells bit-identically), with worker crashes, hangs, and
+    stalls absorbed via lease reclamation.  At least one worker runs,
+    so both ``isolation`` values behave the same here.  ``_halt_after``
+    is the test-only crash hook: after that many newly recorded cells
+    the engine kills its workers and raises
+    :class:`~repro.exceptions.SchedulerHalted` *without* merging or
+    finalizing — simulating the scheduler process dying — so tests can
+    exercise shard recovery on the next ``resume=True`` run.
+    """
+    scheduler = scheduler if scheduler is not None else SchedulerConfig()
+    return run_engine(
+        cells,
+        config,
+        scheduler,
+        scheduler.resolved_workers(),
+        journal=journal,
+        resume=resume,
+        progress=progress,
+        halt_after=_halt_after,
+    )

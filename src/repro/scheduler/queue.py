@@ -3,14 +3,20 @@
 Sharding serves determinism, not throughput: a cell's shard is a pure
 function of its canonical id (``sha256(cell_id) % nshards``), so the
 *relative* dispatch order of cells is stable across runs and across
-resume boundaries — a retried or reclaimed cell rejoins the same shard
-it came from, behind the cells that were already waiting there.
+resume boundaries.
+
+A failed or reclaimed cell goes back to the *head* of its shard, and no
+later cell in that shard may overtake it while it backs off.  With one
+shard this is exactly the serial attempt order (cell by cell, every
+attempt of a cell before the next cell), so the engine's per-dispatch
+fault draws land on the same ``(cell, attempt)`` pairs at any worker
+count that uses one shard.  Other shards keep dispatching.
 
 Retry backoff becomes a ``not_before`` dispatch time rather than a
-sleep: a backing-off cell parks in its shard without blocking a worker,
-and :meth:`ShardedTaskQueue.pop_ready` simply skips it until its time
-arrives.  Durability lives in the journal and shards, not here — after
-a crash the queue is reconstructed as "all cells minus journaled ones".
+sleep: :meth:`ShardedTaskQueue.pop_ready` returns nothing from a shard
+whose retried head is still backing off.  Durability lives in the
+journal and shards, not here — after a crash the queue is reconstructed
+as "all cells minus journaled ones".
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from repro.supervisor.cells import CellSpec
 class Task:
     """One cell's place in line, with its retry history.
 
-    ``attempt`` counts *cell-body attempts that failed* (the same
-    counter serial ``supervise_cell`` uses), while ``reclaims`` counts
-    worker-level losses — a reclaimed dispatch never ran the cell body
-    to a verdict, so it must not consume a retry.
+    ``attempt`` counts *cell-body attempts that failed*, while
+    ``reclaims`` counts worker-level losses — a reclaimed dispatch never
+    ran the cell body to a verdict, so it must not consume a retry.
     """
 
     spec: CellSpec
@@ -40,6 +45,12 @@ class Task:
 
     def cell_id(self) -> str:
         return self.spec.cell_id()
+
+    @property
+    def retried(self) -> bool:
+        """Whether this task came back after a failure or reclaim (and
+        so holds the head of its shard)."""
+        return self.attempt > 0 or self.reclaims > 0
 
 
 def shard_of(cell_id: str, nshards: int) -> int:
@@ -65,10 +76,18 @@ class ShardedTaskQueue:
         task.not_before = not_before
         self._shards[shard_of(task.cell_id(), self.nshards)].append(task)
 
+    def retry(self, task: Task, not_before: float) -> None:
+        """Put a failed or reclaimed ``task`` back at the head of its
+        shard, where it blocks the shard until ``not_before``."""
+        task.not_before = not_before
+        self._shards[shard_of(task.cell_id(), self.nshards)].insert(0, task)
+
     def pop_ready(self, now: float) -> Optional[Task]:
-        """The next dispatchable task, round-robining across shards and
-        skipping tasks still inside their backoff window; ``None`` when
-        nothing is ready (the queue may still be non-empty)."""
+        """The next dispatchable task, round-robining across shards;
+        ``None`` when nothing is ready (the queue may still be
+        non-empty).  Within a shard, tasks still inside their backoff
+        window are skipped — except a retried one, which nothing behind
+        it may overtake."""
         for offset in range(self.nshards):
             index = (self._cursor + offset) % self.nshards
             shard = self._shards[index]
@@ -77,10 +96,18 @@ class ShardedTaskQueue:
                     shard.pop(position)
                     self._cursor = (index + 1) % self.nshards
                     return task
+                if task.retried:
+                    break
         return None
 
     def next_ready_at(self) -> Optional[float]:
-        """The earliest ``not_before`` among queued tasks, or ``None``
-        when the queue is empty — lets the engine size its waits."""
-        times = [task.not_before for shard in self._shards for task in shard]
+        """The earliest time :meth:`pop_ready` can return a task, or
+        ``None`` when the queue is empty — lets the engine size its
+        waits."""
+        times: List[float] = []
+        for shard in self._shards:
+            for task in shard:
+                times.append(task.not_before)
+                if task.retried:
+                    break
         return min(times) if times else None

@@ -1,10 +1,16 @@
-"""The scheduler worker process: one cell attempt at a time.
+"""The scheduler worker process: the campaign's isolation boundary.
 
-A worker is a forked child of the scheduler engine that loops over
-dispatch messages from its pipe, runs each cell attempt through the
-supervisor's isolation machinery (:mod:`repro.supervisor.isolation` —
-so per-cell timeouts, memory caps, and ``sim_*`` fault instructions
-behave exactly as under serial supervision), and reports back.
+A worker is a forked, daemonic child of the campaign engine.  It applies
+the campaign's address-space cap once when it starts (so the cap covers
+the whole worker, including whatever earlier cells left allocated),
+then loops over dispatch messages from its pipe and runs each cell
+attempt in its own process through
+:func:`repro.supervisor.isolation.run_attempt_process`.  Just before the
+cell body runs it reports ``started``: from then on the engine owns the
+attempt's fate.  It kills the worker when the cell overruns its
+timeout (``timeout``) and classifies a worker that dies on its own from
+its exit code (``signal`` / ``lost``).  A worker lost before
+``started`` is a reclaim, not a cell attempt.
 
 Two disciplines make crash recovery sound:
 
@@ -12,12 +18,12 @@ Two disciplines make crash recovery sound:
   worker's journal shard — flushed and fsynced — *before* the
   completion message is sent, so a worker killed between the two leaves
   a durable record that resume finds, and a worker killed before the
-  append leaves nothing (the lease expires and the cell re-runs).
-  At-least-once execution with durable completions.
-* **No environment reads.**  Everything a worker needs (resolved
-  timeout, memory cap, isolation mode, shard path, heartbeat period)
-  is resolved by the parent and shipped as literal values, so
-  parent-scoped knobs are never read on the fork side.
+  append leaves nothing (the cell re-runs).  At-least-once execution
+  with durable completions.
+* **No environment reads.**  Everything a worker needs (memory cap,
+  shard path, heartbeat period) is resolved by the parent and shipped
+  as literal values, so parent-scoped knobs are never read on the fork
+  side.
 
 Heartbeats run on a daemon thread, sharing the pipe under a lock; the
 ``heartbeat_stall`` chaos instruction silences the thread *and* stalls
@@ -36,7 +42,7 @@ import time
 from typing import Optional
 
 from repro.supervisor.cells import STATUS_OK, CellResult, CellSpec
-from repro.supervisor.isolation import run_attempt_inline, run_attempt_process
+from repro.supervisor.isolation import apply_memory_cap, run_attempt_process
 from repro.supervisor.journal import ShardWriter
 from repro.utils import faults
 
@@ -48,10 +54,13 @@ MSG_RUN = "run"
 MSG_STOP = "stop"
 #: Heartbeat tag (worker -> parent).
 MSG_HEARTBEAT = "hb"
+#: Attempt-start tag (worker -> parent): the cell body is about to run,
+#: so the cell timeout starts and a death now is the cell's failure.
+MSG_STARTED = "started"
 #: Completion tag (worker -> parent): carries the terminal OK payload.
 MSG_DONE = "done"
 #: Failed-attempt tag (worker -> parent): the parent decides retry vs
-#: quarantine, so the message carries the full attempt outcome.
+#: quarantine, so the message carries the attempt's failure record.
 MSG_FAIL = "fail"
 
 
@@ -75,11 +84,14 @@ def _worker_main(
     worker_id: int,
     campaign_seed: int,
     shard_path: str,
-    timeout: Optional[float],
     mem_mb: Optional[int],
-    isolation: str,
     heartbeat_secs: float,
 ) -> None:  # pragma: no cover - exercised via subprocesses in tests
+    # Interrupts belong to the parent, which drains and then stops its
+    # workers: a Ctrl-C sent to the whole process group must not kill a
+    # running cell and turn it into a failed (possibly quarantined)
+    # attempt.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     writer = ShardWriter(shard_path)
     send_lock = threading.Lock()
     stop_heartbeat = threading.Event()
@@ -89,6 +101,16 @@ def _worker_main(
         daemon=True,
     )
     beat.start()
+    apply_memory_cap(mem_mb)
+
+    def send(message: tuple) -> bool:
+        try:
+            with send_lock:
+                conn.send(message)
+        except (BrokenPipeError, OSError):
+            return False
+        return True
+
     while True:
         try:
             message = conn.recv()
@@ -110,50 +132,26 @@ def _worker_main(
             logger.warning("worker %d: injected heartbeat_stall", worker_id)
             stop_heartbeat.set()
             time.sleep(faults.HEARTBEAT_STALL_SECONDS)
+        if not send((MSG_STARTED, worker_id)):
+            return
         spec = CellSpec.from_payload(spec_payload)
-        if isolation == "inline":
-            outcome = run_attempt_inline(spec, campaign_seed, sim_instructions)
-        else:
-            outcome = run_attempt_process(
-                spec,
-                campaign_seed,
-                timeout=timeout,
-                mem_mb=mem_mb,
-                instructions=sim_instructions,
-            )
-        if outcome.ok:
-            result = CellResult(
-                spec=spec,
-                status=STATUS_OK,
-                value=outcome.value,
-                attempts=attempt + 1,
-                delays=tuple(delays),
-            )
-            payload = result.payload()
-            repeats = 2 if "duplicate_completion" in sched_instructions else 1
-            for _ in range(repeats):
-                # Durability before visibility: the shard record must
-                # exist before the parent can count the cell done.
-                writer.append_cell(payload)
-                try:
-                    with send_lock:
-                        conn.send((MSG_DONE, worker_id, payload))
-                except (BrokenPipeError, OSError):
-                    return
-        else:
-            try:
-                with send_lock:
-                    conn.send(
-                        (
-                            MSG_FAIL,
-                            worker_id,
-                            spec_payload,
-                            attempt,
-                            list(delays),
-                            outcome.classification,
-                            outcome.reason,
-                            outcome.traceback,
-                        )
-                    )
-            except (BrokenPipeError, OSError):
+        outcome = run_attempt_process(spec, campaign_seed, sim_instructions)
+        if not outcome.ok:
+            failure = (outcome.classification, outcome.reason, outcome.traceback)
+            if not send((MSG_FAIL, worker_id) + failure):
+                return
+            continue
+        payload = CellResult(
+            spec=spec,
+            status=STATUS_OK,
+            value=outcome.value,
+            attempts=attempt + 1,
+            delays=tuple(delays),
+        ).payload()
+        repeats = 2 if "duplicate_completion" in sched_instructions else 1
+        for _ in range(repeats):
+            # Durability before visibility: the shard record must exist
+            # before the parent can count the cell done.
+            writer.append_cell(payload)
+            if not send((MSG_DONE, worker_id, payload)):
                 return

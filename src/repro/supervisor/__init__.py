@@ -8,13 +8,17 @@ round-elimination engine underneath it:
 
 * :mod:`repro.supervisor.cells` — cell specs/results, the quarantine
   taxonomy, and the named cell-runner registry;
-* :mod:`repro.supervisor.isolation` — per-cell subprocess isolation
-  with wall-clock timeouts and ``resource.setrlimit`` memory caps;
+* :mod:`repro.supervisor.isolation` — the cell attempt body, run inside
+  a persistent scheduler worker (the isolation boundary: one
+  ``resource.setrlimit`` memory cap per worker, a worker kill at the
+  cell timeout) or inline;
 * :mod:`repro.supervisor.journal` — the append-only, checksummed JSONL
   run journal (torn lines degrade to recomputation, never to a wrong
   resume);
-* :mod:`repro.supervisor.campaign` — bounded deterministic retries,
-  structured quarantine, journaled resume;
+* :mod:`repro.supervisor.campaign` — :func:`run_campaign`, the serial
+  campaign: the campaign engine (:mod:`repro.scheduler.engine`) on one
+  worker or inline, with bounded deterministic retries, structured
+  quarantine and journaled resume;
 * :mod:`repro.supervisor.measurements` — the built-in landscape panel
   runners (``lcl-landscape landscape --journal/--resume``).
 
@@ -31,7 +35,6 @@ from repro.supervisor.campaign import (
     campaign_key,
     open_journal,
     run_campaign,
-    supervise_cell,
 )
 from repro.supervisor.cells import (
     CLASSIFICATIONS,
@@ -61,5 +64,4 @@ __all__ = [
     "register_runner",
     "resolve_runner",
     "run_campaign",
-    "supervise_cell",
 ]

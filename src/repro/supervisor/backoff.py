@@ -1,7 +1,7 @@
 """Deterministic seeded retry backoff for supervised cells.
 
-Before this module, ``supervise_cell`` fired attempt ``N+1`` immediately
-after a failure — correct, but hostile to the very hosts the retry is
+Without it, a failed cell's attempt ``N+1`` would fire immediately after
+the failure — correct, but hostile to the very hosts the retry is
 trying to outlive: a transiently-OOMing or overloaded machine gets
 hammered with back-to-back re-executions.  This module adds the missing
 pause, with two properties the supervisor's contracts demand:

@@ -10,7 +10,13 @@ a ``QUARANTINED`` :class:`~repro.supervisor.cells.CellResult` carrying
 its captured traceback and fault classification instead of aborting
 the sweep.
 
-With a journal attached, every terminal cell result is appended —
+Serial :func:`run_campaign` is the campaign engine
+(:mod:`repro.scheduler.engine`) on one persistent worker process
+(``isolation="process"``) or on none (``"inline"``: attempts run in the
+calling process).  Either way the cells run one at a time in campaign
+order, every attempt of a cell before the next cell.
+
+With a journal attached, every terminal cell result is journaled —
 checksummed, flushed, fsynced — before the next cell starts, and
 ``resume=True`` skips journaled cells entirely, restoring their
 recorded values bit-identically.  Interrupting a campaign (crash,
@@ -23,29 +29,15 @@ deterministic; ``journal_torn`` fires inside the journal writer.
 
 from __future__ import annotations
 
-import logging
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import SupervisorError
 from repro.supervisor.backoff import BackoffPolicy, is_transient
-from repro.supervisor.cells import (
-    STATUS_OK,
-    STATUS_QUARANTINED,
-    CellResult,
-    CellSpec,
-)
-from repro.supervisor.isolation import (
-    AttemptOutcome,
-    run_attempt_inline,
-    run_attempt_process,
-)
+from repro.supervisor.cells import CellResult, CellSpec
 from repro.supervisor.journal import CampaignJournal
-from repro.utils import env, faults
-
-logger = logging.getLogger(__name__)
+from repro.utils import env
 
 ENV_CELL_TIMEOUT = "REPRO_CELL_TIMEOUT"
 ENV_CELL_MEM_MB = "REPRO_CELL_MEM_MB"
@@ -186,22 +178,6 @@ def verify_resume_key(
         )
 
 
-def _run_attempt(
-    spec: CellSpec,
-    config: CampaignConfig,
-    instructions: Sequence[str],
-) -> AttemptOutcome:
-    if config.isolation == ISOLATE_INLINE:
-        return run_attempt_inline(spec, config.seed, instructions)
-    return run_attempt_process(
-        spec,
-        config.seed,
-        timeout=config.resolved_timeout(),
-        mem_mb=config.resolved_mem_mb(),
-        instructions=instructions,
-    )
-
-
 def retry_delay(
     policy: BackoffPolicy, seed: int, cell_id: str, attempt: int, classification: str
 ) -> float:
@@ -212,57 +188,6 @@ def retry_delay(
     if not is_transient(classification):
         return 0.0
     return policy.delay(seed, cell_id, attempt)
-
-
-def supervise_cell(spec: CellSpec, config: CampaignConfig) -> CellResult:
-    """Run one cell to a terminal result (OK or quarantined), retrying
-    up to the configured bound with deterministic seeded backoff."""
-    retries = config.resolved_retries()
-    policy = config.resolved_backoff()
-    delays: List[float] = []
-    last = AttemptOutcome(ok=False, classification="lost", reason="never attempted")
-    for attempt in range(1 + retries):
-        instructions = faults.fire_sim_faults()
-        if instructions:
-            logger.warning(
-                "cell %s attempt %d: injecting %s",
-                spec.cell_id(),
-                attempt + 1,
-                ",".join(instructions),
-            )
-        last = _run_attempt(spec, config, instructions)
-        if last.ok:
-            return CellResult(
-                spec=spec,
-                status=STATUS_OK,
-                value=last.value,
-                attempts=attempt + 1,
-                delays=tuple(delays),
-            )
-        logger.warning(
-            "cell %s attempt %d/%d failed (%s): %s",
-            spec.cell_id(),
-            attempt + 1,
-            1 + retries,
-            last.classification,
-            last.reason,
-        )
-        if attempt < retries:
-            pause = retry_delay(
-                policy, config.seed, spec.cell_id(), attempt, last.classification
-            )
-            delays.append(pause)
-            if pause > 0.0:
-                time.sleep(pause)
-    return CellResult(
-        spec=spec,
-        status=STATUS_QUARANTINED,
-        attempts=1 + retries,
-        classification=last.classification,
-        reason=last.reason,
-        traceback=last.traceback,
-        delays=tuple(delays),
-    )
 
 
 def run_campaign(
@@ -278,33 +203,15 @@ def run_campaign(
     and only the remainder runs.  ``KeyboardInterrupt`` is deliberately
     *not* swallowed: every completed cell is already journaled, so an
     interrupt costs at most the in-flight cell and the campaign resumes
-    from the journal.
+    from the journal.  The report is the engine's
+    :class:`~repro.scheduler.engine.SchedulerReport`, whose ``stats``
+    count dispatches, reclaims and worker deaths.
     """
+    # Imported at call time: the engine builds on this module's types.
+    from repro.scheduler.engine import SchedulerConfig, run_engine
+
     config = config if config is not None else CampaignConfig()
-    if resume and journal is None:
-        raise SupervisorError("resume requested without a journal")
-    if resume and journal is not None:
-        verify_resume_key(journal, cells, config.seed)
-    completed: Dict[str, Dict[str, Any]] = {}
-    if resume and journal is not None:
-        completed = journal.completed_cells()
-        if completed:
-            logger.info(
-                "journal %s: resuming %d completed cell(s)",
-                journal.path.name,
-                len(completed),
-            )
-    if journal is not None:
-        journal.ensure_header()
-    report = CampaignReport()
-    for spec in cells:
-        recorded = completed.get(spec.cell_id())
-        if recorded is not None:
-            report.results.append(CellResult.from_payload(recorded))
-            continue
-        result = supervise_cell(spec, config)
-        if journal is not None:
-            journal.append_cell(result.payload())
-        report.results.append(result)
-    logger.info("campaign finished: %s", report.summary())
-    return report
+    workers = 0 if config.isolation == ISOLATE_INLINE else 1
+    return run_engine(
+        cells, config, SchedulerConfig(), workers, journal=journal, resume=resume
+    )

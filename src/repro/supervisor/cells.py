@@ -10,7 +10,7 @@ classification.  Campaigns never see raw exceptions.
 
 Runners are plain module-level functions registered by name
 (:func:`register_runner`), so a cell can be described by data alone and
-re-resolved inside an isolated subprocess — nothing in a
+re-resolved inside a scheduler worker process — nothing in a
 :class:`CellSpec` needs to be picklable beyond primitives.
 """
 
@@ -37,11 +37,12 @@ STATUS_QUARANTINED = "QUARANTINED"
 #:     ``resource.setrlimit`` address-space limit, or an injected
 #:     ``sim_oom``);
 #: ``signal``
-#:     the cell subprocess died on a signal (segfault, OOM-killer,
-#:     hard ``os._exit``) without reporting;
+#:     the worker died on a signal (segfault, OOM-killer) while running
+#:     the cell;
 #: ``lost``
-#:     the cell subprocess exited without delivering a result for any
-#:     other reason.
+#:     the worker died while running the cell for any other reason (a
+#:     hard ``os._exit``), or was lost more often than the engine's
+#:     reclaim bound allows.
 CLASSIFICATIONS = ("error", "timeout", "oom", "signal", "lost")
 
 #: A cell runner: ``(spec, rng) -> JSON-serializable value``.

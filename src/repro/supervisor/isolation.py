@@ -1,46 +1,38 @@
-"""Crash isolation: run one cell in a supervised subprocess.
+"""Cell attempts: the one body every campaign attempt runs.
 
-Each attempt of a cell runs in its own forked child with
+A campaign attempt runs in one of two places, both driven by the
+campaign engine (:mod:`repro.scheduler.engine`):
 
-* a wall-clock timeout enforced from the parent (the child is
-  terminated, then killed, when it stalls — a hung simulation can cost
-  at most one cell-timeout, never the campaign);
-* an optional address-space cap applied via ``resource.setrlimit``
-  inside the child before any cell code runs, so a memory blow-up dies
-  as a containable ``MemoryError`` (or, at worst, a killed child)
-  instead of taking the campaign process down with it;
-* simulator-level fault *instructions* decided by the parent
-  (:func:`repro.utils.faults.fire_sim_faults`) and executed by the
-  child (:func:`repro.utils.faults.execute_sim_fault`), which keeps the
-  deterministic occurrence counters in a single process.
+* **in a worker** (:func:`run_attempt_process`) — the persistent
+  scheduler worker (:mod:`repro.scheduler.worker`) is the isolation
+  boundary.  It applies the optional ``resource.setrlimit`` address-space
+  cap (:func:`apply_memory_cap`) once when it starts and then runs every
+  attempt in its own process.  The engine enforces the wall-clock
+  timeout by killing the worker, and classifies a worker that dies while
+  running a cell from its exit code (``signal`` for a signal death,
+  ``lost`` otherwise), so a hung, crashing or memory-hungry simulation
+  costs one attempt, never the campaign;
+* **inline** (:func:`run_attempt_inline`) — in the calling process, the
+  clean-serial baseline and the fast path for trusted local runs.
+  Inline cells skip ``sim_hang`` instructions (there is no kill path to
+  rescue the process) but honor ``sim_crash`` and ``sim_oom``.
 
-The child reports through a one-way pipe: ``("ok", value)`` or
-``("fail", classification, reason, traceback)``.  A child that dies
-without reporting is classified from its exit code (``signal`` for a
-signal death, ``lost`` otherwise).
-
-An ``inline`` mode runs the cell in-process with the same structured
-outcome — the supervisor's clean-serial baseline and the fast path for
-trusted local runs.  Inline cells skip ``sim_hang`` instructions (there
-is no kill path to rescue the process) but honor ``sim_crash`` and
-``sim_oom``.
+Simulator-level fault *instructions* are decided by the engine
+(:func:`repro.utils.faults.fire_sim_faults`) and executed here
+(:func:`repro.utils.faults.execute_sim_fault`), which keeps the
+deterministic occurrence counters in a single process.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import multiprocessing.connection
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from repro.supervisor.cells import CellSpec, cell_rng, resolve_runner
 
 logger = logging.getLogger(__name__)
-
-#: Grace period for a terminated child before escalating to SIGKILL.
-_TERMINATE_GRACE_SECONDS = 1.0
 
 
 @dataclass
@@ -54,7 +46,9 @@ class AttemptOutcome:
     traceback: str = ""
 
 
-def _apply_memory_cap(mem_mb: Optional[int]) -> None:
+def apply_memory_cap(mem_mb: Optional[int]) -> None:
+    """Cap this process's address space at ``mem_mb`` MiB (no-op for
+    ``None``): an allocation past the cap raises ``MemoryError``."""
     if mem_mb is None:
         return
     try:
@@ -67,50 +61,33 @@ def _apply_memory_cap(mem_mb: Optional[int]) -> None:
 
 
 def _execute(
-    spec_payload: dict,
+    spec: CellSpec,
     campaign_seed: int,
     instructions: Sequence[str],
-) -> Tuple[Any, ...]:
-    """Run the cell body; shared by the child entry and inline mode."""
-    from repro.supervisor.cells import CellSpec as Spec
+) -> AttemptOutcome:
+    """Run the cell body; shared by the worker and inline attempts."""
     from repro.utils import faults
 
-    spec = Spec.from_payload(spec_payload)
     try:
         for index, kind in enumerate(instructions):
             faults.execute_sim_fault(kind, index)
         runner = resolve_runner(spec.runner)
         value = runner(spec, cell_rng(campaign_seed, spec))
-        return ("ok", value)
+        return AttemptOutcome(ok=True, value=value)
     except MemoryError as error:
-        return ("fail", "oom", f"MemoryError: {error}", traceback_module.format_exc())
-    except Exception as error:
-        return (
-            "fail",
-            "error",
-            f"{type(error).__name__}: {error}",
-            traceback_module.format_exc(),
+        return AttemptOutcome(
+            ok=False,
+            classification="oom",
+            reason=f"MemoryError: {error}",
+            traceback=traceback_module.format_exc(),
         )
-
-
-def _child_entry(
-    conn: multiprocessing.connection.Connection,
-    spec_payload: dict,
-    campaign_seed: int,
-    mem_mb: Optional[int],
-    instructions: Sequence[str],
-) -> None:  # pragma: no cover - exercised via subprocesses in tests
-    _apply_memory_cap(mem_mb)
-    try:
-        message = _execute(spec_payload, campaign_seed, instructions)
-    except MemoryError:
-        # Allocation failed even while *building* the failure record:
-        # report the bare minimum.
-        message = ("fail", "oom", "MemoryError", "")
-    try:
-        conn.send(message)
-    finally:
-        conn.close()
+    except Exception as error:
+        return AttemptOutcome(
+            ok=False,
+            classification="error",
+            reason=f"{type(error).__name__}: {error}",
+            traceback=traceback_module.format_exc(),
+        )
 
 
 def run_attempt_inline(
@@ -128,80 +105,20 @@ def run_attempt_inline(
             )
             continue
         effective.append(kind)
-    message = _execute(spec.payload(), campaign_seed, effective)
-    if message[0] == "ok":
-        return AttemptOutcome(ok=True, value=message[1])
-    return AttemptOutcome(
-        ok=False,
-        classification=message[1],
-        reason=message[2],
-        traceback=message[3],
-    )
+    return _execute(spec, campaign_seed, effective)
 
 
 def run_attempt_process(
     spec: CellSpec,
     campaign_seed: int,
-    timeout: Optional[float],
-    mem_mb: Optional[int],
     instructions: Sequence[str] = (),
 ) -> AttemptOutcome:
-    """Run one attempt in a supervised subprocess."""
+    """Run one attempt inside a scheduler worker, executing every
+    instruction: a ``sim_hang`` stalls until the engine kills the worker
+    at the cell timeout."""
     try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context("spawn")
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_child_entry,
-        args=(child_conn, spec.payload(), campaign_seed, mem_mb, tuple(instructions)),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
-    message: Optional[Tuple[Any, ...]] = None
-    timed_out = False
-    try:
-        if parent_conn.poll(timeout):
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                message = None
-        else:
-            timed_out = True
-    finally:
-        parent_conn.close()
-        if timed_out:
-            process.terminate()
-        process.join(_TERMINATE_GRACE_SECONDS)
-        if process.is_alive():  # pragma: no cover - stubborn child
-            process.kill()
-            process.join()
-
-    if message is not None and message[0] == "ok":
-        return AttemptOutcome(ok=True, value=message[1])
-    if message is not None:
-        return AttemptOutcome(
-            ok=False,
-            classification=str(message[1]),
-            reason=str(message[2]),
-            traceback=str(message[3]),
-        )
-    if timed_out:
-        return AttemptOutcome(
-            ok=False,
-            classification="timeout",
-            reason=f"cell exceeded its {timeout}s wall-clock cap and was killed",
-        )
-    exitcode = process.exitcode
-    if exitcode is not None and exitcode < 0:
-        return AttemptOutcome(
-            ok=False,
-            classification="signal",
-            reason=f"cell subprocess died on signal {-exitcode}",
-        )
-    return AttemptOutcome(
-        ok=False,
-        classification="lost",
-        reason=f"cell subprocess exited (code {exitcode}) without reporting",
-    )
+        return _execute(spec, campaign_seed, instructions)
+    except MemoryError:
+        # Allocation failed even while *building* the failure record:
+        # report the bare minimum.
+        return AttemptOutcome(ok=False, classification="oom", reason="MemoryError")

@@ -4,8 +4,8 @@ This module turns the Figure-1 measurement code that used to live
 inline in ``cmd_landscape`` into *registered, importable cell runners*
 (:func:`repro.supervisor.cells.register_runner`), so each
 ``(series, n)`` measurement can run as a supervised, crash-isolated,
-journaled campaign cell — and re-resolve by name inside a fresh
-subprocess or a cold resume.
+journaled campaign cell — and re-resolve by name inside a worker
+process or a cold resume.
 
 The measured values are identical to the pre-supervisor CLI: the same
 graphs, the same explicit seeds (``seed = n`` / ``seed = side``), the

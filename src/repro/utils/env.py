@@ -45,9 +45,9 @@ class EnvKnob:
     doc: str
     #: Where the knob may be read: ``"any"`` (default) or ``"parent"`` —
     #: parent-scoped knobs configure the supervising process and must be
-    #: resolved *before* forking; re-reading one inside a scheduler worker or
-    #: an isolated cell child silently picks up whatever environment the
-    #: child inherited, which lint rule REP011 flags.
+    #: resolved *before* forking; re-reading one inside a scheduler worker
+    #: silently picks up whatever environment the worker inherited, which
+    #: lint rule REP011 flags.
     scope: str = "any"
 
     def describe_default(self) -> str:
@@ -252,9 +252,10 @@ declare(
     "REPRO_CELL_MEM_MB",
     "int",
     None,
-    "Per-cell address-space cap in MiB applied via resource.setrlimit in the "
-    "isolated cell subprocess; resolved by the supervising parent and handed "
-    "to the child, never re-read there.",
+    "Address-space cap in MiB applied via resource.setrlimit once in each "
+    "campaign worker process, so it covers the whole worker: the cell running "
+    "now plus whatever earlier cells left allocated.  Resolved by the "
+    "supervising parent and handed to the worker, never re-read there.",
     scope="parent",
 )
 declare(
@@ -279,7 +280,8 @@ declare(
     "int",
     None,
     "Concurrent worker processes for the lease-based campaign scheduler "
-    "(repro.scheduler); defaults to min(cpu_count, 4).  Resolved by the "
+    "(repro.scheduler); defaults to min(usable CPUs, 4), counting the CPUs "
+    "the process's affinity set allows.  Resolved by the "
     "scheduling parent, never re-read in a worker.",
     scope="parent",
 )

@@ -95,9 +95,9 @@ KINDS = (
     "duplicate_completion",
 )
 
-#: Simulator-level fault kinds decided by the campaign supervisor (the
+#: Simulator-level fault kinds decided by the campaign engine (the
 #: parent process draws from the plan and ships the instruction to the
-#: isolated cell, keeping the occurrence counters in one process).
+#: cell's attempt, keeping the occurrence counters in one process).
 SIM_KINDS = ("sim_crash", "sim_hang", "sim_oom")
 
 #: Scheduler-level fault kinds decided by the scheduler parent at
@@ -232,14 +232,14 @@ def reset_faults() -> None:
 def execute_sim_fault(kind: str, occurrence: int = 0) -> None:
     """Carry out a simulator-level fault *instruction* inside a cell.
 
-    This does not consult the plan: the supervisor draws from the plan in
-    the parent process (keeping the occurrence counters deterministic in
-    one place) and ships the fired kinds to the isolated cell, which
-    executes them here.
+    This does not consult the plan: the campaign engine draws from the
+    plan in the parent process (keeping the occurrence counters
+    deterministic in one place) and ships the fired kinds to the cell's
+    attempt, which executes them here.
 
     ``sim_crash`` raises :class:`InjectedFault`; ``sim_hang`` stalls for
-    :data:`SIM_HANG_SECONDS` (the supervisor's timeout kills the cell
-    long before that); ``sim_oom`` raises ``MemoryError`` as a tight
+    :data:`SIM_HANG_SECONDS` (the engine kills the cell's worker at the
+    cell timeout long before that); ``sim_oom`` raises ``MemoryError`` as a tight
     ``resource.setrlimit`` cap would on the next allocation.
     """
     if kind == "sim_crash":

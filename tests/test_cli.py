@@ -126,18 +126,20 @@ class TestInterruptExitCode:
     def test_interrupt_mid_campaign_preserves_journal(self, capsys, monkeypatch):
         # SIGINT during the landscape verb must still exit 130 while the
         # journal keeps every completed cell (flushed per record).
-        import repro.supervisor.campaign as campaign_module
+        # Inline isolation runs each attempt in this process, through the
+        # engine's zero-worker attempt call.
+        import repro.scheduler.engine as engine_module
 
-        real = campaign_module.supervise_cell
+        real = engine_module.run_attempt_inline
         state = {"count": 0}
 
-        def interrupt_third(spec, config):
+        def interrupt_third(spec, campaign_seed, instructions=()):
             state["count"] += 1
             if state["count"] == 3:
                 raise KeyboardInterrupt
-            return real(spec, config)
+            return real(spec, campaign_seed, instructions)
 
-        monkeypatch.setattr(campaign_module, "supervise_cell", interrupt_third)
+        monkeypatch.setattr(engine_module, "run_attempt_inline", interrupt_third)
         import tempfile
 
         with tempfile.TemporaryDirectory() as journal_dir:
@@ -154,7 +156,7 @@ class TestInterruptExitCode:
             assert recorded == 2  # the two cells finished before SIGINT
 
             # The resumed run restores them and completes the panel.
-            monkeypatch.setattr(campaign_module, "supervise_cell", real)
+            monkeypatch.setattr(engine_module, "run_attempt_inline", real)
             assert main(argv + ["--resume"]) == 0
             out = capsys.readouterr().out
             assert "2 resumed" in out

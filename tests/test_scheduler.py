@@ -8,11 +8,13 @@ isolation plus the no-fault scheduler/serial equivalence.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.exceptions import SchedulerError, SupervisorError
 from repro.scheduler import SchedulerConfig, run_scheduled_campaign
+from repro.scheduler import engine as engine_module
 from repro.scheduler.leases import LeaseTable
 from repro.scheduler.queue import ShardedTaskQueue, Task, shard_of
 from repro.supervisor import (
@@ -194,6 +196,48 @@ class TestShardedTaskQueue:
         assert queue.next_ready_at() == 10.0
         assert queue.pop_ready(now=10.0).cell_id() == CELLS[0].cell_id()
 
+    @staticmethod
+    def _failed(queue, now):
+        """Pop the next task and mark it as a failed attempt."""
+        task = queue.pop_ready(now)
+        task.attempt += 1
+        return task
+
+    def test_retry_pops_before_any_later_cell(self):
+        queue = ShardedTaskQueue(nshards=1)
+        for spec in CELLS[:3]:
+            queue.push(Task(spec=spec))
+        failed = self._failed(queue, now=0.0)
+        queue.retry(failed, not_before=0.0)
+        order = [queue.pop_ready(now=0.0).cell_id() for _ in range(3)]
+        assert order == [spec.cell_id() for spec in CELLS[:3]]
+
+    def test_backing_off_head_blocks_its_shard(self):
+        queue = ShardedTaskQueue(nshards=1)
+        for spec in CELLS[:3]:
+            queue.push(Task(spec=spec))
+        queue.retry(self._failed(queue, now=0.0), not_before=10.0)
+        # The next cell is ready, but may not overtake the retry.
+        assert queue.pop_ready(now=5.0) is None
+        assert queue.next_ready_at() == 10.0
+        assert queue.pop_ready(now=10.0).cell_id() == CELLS[0].cell_id()
+        assert queue.pop_ready(now=10.0).cell_id() == CELLS[1].cell_id()
+
+    def test_backing_off_head_blocks_only_its_own_shard(self):
+        blocked = [s for s in CELLS if shard_of(s.cell_id(), 2) == 0]
+        free = [s for s in CELLS if shard_of(s.cell_id(), 2) == 1]
+        assert len(blocked) >= 2 and free
+        queue = ShardedTaskQueue(nshards=2)
+        for spec in blocked[:2] + free[:1]:
+            queue.push(Task(spec=spec))
+        failed = self._failed(queue, now=0.0)  # the round-robin starts at shard 0
+        assert failed.spec == blocked[0]
+        queue.retry(failed, not_before=10.0)
+        assert queue.pop_ready(now=5.0).cell_id() == free[0].cell_id()
+        assert queue.pop_ready(now=5.0) is None
+        assert queue.pop_ready(now=10.0).cell_id() == blocked[0].cell_id()
+        assert queue.pop_ready(now=10.0).cell_id() == blocked[1].cell_id()
+
 
 # ------------------------------------------------------------------ shards
 class TestJournalShards:
@@ -303,3 +347,18 @@ class TestScheduledCampaign:
         explicit = SchedulerConfig(workers=5, lease_secs=3.0, heartbeat_secs=1.0)
         assert explicit.resolved_workers() == 5
         assert explicit.resolved_heartbeat_secs() == 1.0
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU of a large machine: one worker, not four.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert engine_module.usable_cpu_count() == 1
+        assert SchedulerConfig().resolved_workers() == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(16)), raising=False
+        )
+        assert SchedulerConfig().resolved_workers() == 4
+        # Without an affinity API the machine's count is all there is.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert SchedulerConfig().resolved_workers() == 2

@@ -1,6 +1,9 @@
 """Unit tests for :mod:`repro.supervisor`: cells, journal, isolation,
 campaign supervision, and the landscape measurement plans.
 
+Process isolation is exercised through the campaign engine itself: a
+one-worker ``run_campaign`` is the only way a cell runs isolated.
+
 The end-to-end chaos contract (faulty run + resume bit-identical to a
 clean serial run) lives in ``tests/test_supervisor_chaos.py``; this file
 covers each layer in isolation.
@@ -27,9 +30,8 @@ from repro.supervisor import (
     register_runner,
     resolve_runner,
     run_campaign,
-    supervise_cell,
 )
-from repro.supervisor.isolation import run_attempt_inline, run_attempt_process
+from repro.supervisor.isolation import run_attempt_inline
 from repro.supervisor.measurements import assemble_panel, plan_panel
 from repro.utils import faults
 
@@ -81,8 +83,52 @@ def _self_kill(spec, rng):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+@register_runner("test.self-interrupt")
+def _self_interrupt(spec, rng):
+    # What a Ctrl-C sent to the whole process group does to a worker.
+    os.kill(os.getpid(), signal.SIGINT)
+    return spec.n
+
+
+@register_runner("test.allocate")
+def _allocate(spec, rng):
+    # One allocation of ``mb`` MiB: under an address-space cap below
+    # that, it fails as a real MemoryError, not an injected one.
+    return len(bytearray(spec.param("mb") * 1024 * 1024))
+
+
+@register_runner("test.pid")
+def _pid(spec, rng):
+    return os.getpid()
+
+
 def cells_for(runner, ns, seed=0):
     return [CellSpec.make(runner, "p", n, seed=seed) for n in ns]
+
+
+def isolated(spec, seed=0, **overrides):
+    """One cell through a one-worker campaign, no retries: the cell's
+    attempt runs inside the engine's persistent worker process."""
+    options = dict(seed=seed, isolation="process", retries=0, timeout=30.0)
+    options.update(overrides)
+    return run_campaign([spec], CampaignConfig(**options)).results[0]
+
+
+def first_fires_seed(kind):
+    """A fault seed whose first ``kind`` occurrence fires and whose
+    second does not: attempt (or dispatch) 1 is hit, 2 is clean."""
+    for s in range(1000):
+        plan = faults.FaultPlan({kind: 0.5}, seed=s)
+        if [plan.fire(kind) for _ in range(2)] == [True, False]:
+            return s
+    raise AssertionError(f"no fire-once {kind} seed in range")
+
+
+def address_space_mb():
+    """This process's current virtual address space, in MiB."""
+    with open("/proc/self/statm") as handle:
+        pages = int(handle.read().split()[0])
+    return pages * os.sysconf("SC_PAGE_SIZE") // (1024 * 1024)
 
 
 # -------------------------------------------------------------------- CellSpec
@@ -243,31 +289,77 @@ class TestIsolation:
     def test_process_matches_inline(self):
         spec = CellSpec.make("test.rng-bits", "p", 5, seed=0)
         inline = run_attempt_inline(spec, 3)
-        isolated = run_attempt_process(spec, 3, timeout=30.0, mem_mb=None)
-        assert isolated.ok
-        assert isolated.value == inline.value
+        result = isolated(spec, seed=3)
+        assert result.ok
+        assert result.value == inline.value
 
     def test_process_error_classified(self):
-        spec = CellSpec.make("test.always-raises", "p", 5, seed=0)
-        outcome = run_attempt_process(spec, 0, timeout=30.0, mem_mb=None)
-        assert not outcome.ok and outcome.classification == "error"
-        assert "ArithmeticError" in outcome.traceback
+        result = isolated(CellSpec.make("test.always-raises", "p", 5, seed=0))
+        assert result.quarantined and result.classification == "error"
+        assert "ArithmeticError" in result.traceback
 
     def test_process_timeout_kills_cell(self):
-        spec = CellSpec.make("test.hang", "p", 5, seed=0)
-        outcome = run_attempt_process(spec, 0, timeout=0.5, mem_mb=None)
-        assert not outcome.ok and outcome.classification == "timeout"
+        result = isolated(CellSpec.make("test.hang", "p", 5, seed=0), timeout=0.5)
+        assert result.quarantined and result.classification == "timeout"
 
     def test_process_hard_exit_is_lost(self):
-        spec = CellSpec.make("test.hard-exit", "p", 5, seed=0)
-        outcome = run_attempt_process(spec, 0, timeout=30.0, mem_mb=None)
-        assert not outcome.ok and outcome.classification == "lost"
+        result = isolated(CellSpec.make("test.hard-exit", "p", 5, seed=0))
+        assert result.quarantined and result.classification == "lost"
 
     def test_process_signal_death_classified(self):
-        spec = CellSpec.make("test.self-kill", "p", 5, seed=0)
-        outcome = run_attempt_process(spec, 0, timeout=30.0, mem_mb=None)
-        assert not outcome.ok and outcome.classification == "signal"
-        assert str(signal.SIGKILL.value) in outcome.reason
+        result = isolated(CellSpec.make("test.self-kill", "p", 5, seed=0))
+        assert result.quarantined and result.classification == "signal"
+        assert str(signal.SIGKILL.value) in result.reason
+
+    def test_worker_leaves_interrupts_to_the_parent(self):
+        result = isolated(CellSpec.make("test.self-interrupt", "p", 5, seed=0))
+        assert result.ok and result.value == 5
+
+    def test_worker_abort_is_a_reclaim_but_a_cell_death_is_an_attempt(
+        self, monkeypatch
+    ):
+        # A worker lost before the cell starts (dead, or wedged until its
+        # lease expires) costs no retry ...
+        monkeypatch.setenv("REPRO_SCHED_LEASE_SECS", "0.5")
+        for kind in ("worker_abort", "heartbeat_stall"):
+            faults.configure_faults({kind: 0.5}, seed=first_fires_seed(kind))
+            report = run_campaign(
+                [CellSpec.make("test.square", "p", 4, seed=0)],
+                CampaignConfig(isolation="process", retries=0, timeout=30.0),
+            )
+            assert report.results[0].ok and report.results[0].value == 16, kind
+            assert report.results[0].attempts == 1
+            assert report.stats.reclaims == 1
+        # ... while a worker killed by its running cell uses one up.
+        faults.configure_faults(None)
+        result = isolated(CellSpec.make("test.self-kill", "p", 5, seed=0), retries=1)
+        assert result.quarantined and result.classification == "signal"
+        assert result.attempts == 2
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"), reason="needs /proc address-space sizes"
+    )
+    def test_memory_cap_quarantines_oom_and_the_worker_runs_on(self):
+        # The cap covers the whole worker, which starts as a fork of this
+        # process: a margin above our address space leaves room to run
+        # cells, and one allocation of the full cap cannot fit.
+        cap = address_space_mb() + 256
+        cells = [
+            CellSpec.make("test.pid", "p", 1, seed=0),
+            CellSpec.make("test.allocate", "p", 2, seed=0, params={"mb": cap}),
+            CellSpec.make("test.pid", "p", 3, seed=0),
+        ]
+        report = run_campaign(
+            cells,
+            CampaignConfig(isolation="process", retries=0, timeout=30.0, mem_mb=cap),
+        )
+        before, hog, after = report.results
+        assert hog.quarantined and hog.classification == "oom"
+        assert "MemoryError" in hog.reason and "bytearray" in hog.traceback
+        assert before.ok and after.ok
+        # The same worker process ran the cells on both sides of the OOM.
+        assert after.value == before.value != os.getpid()
+        assert report.stats.worker_deaths == 0
 
     def test_sim_oom_instruction_classified_oom(self):
         spec = CellSpec.make("test.square", "p", 5, seed=0)
@@ -306,41 +398,31 @@ class TestCampaignConfig:
 class TestSupervision:
     def test_quarantine_after_retry_exhaustion(self):
         spec = CellSpec.make("test.always-raises", "p", 3, seed=0)
-        result = supervise_cell(spec, CampaignConfig(retries=2, isolation="inline"))
+        result = run_campaign(
+            [spec], CampaignConfig(retries=2, isolation="inline")
+        ).results[0]
         assert result.quarantined
         assert result.status == STATUS_QUARANTINED
         assert result.attempts == 3
         assert result.classification == "error"
         assert "ArithmeticError" in result.traceback
 
-    @staticmethod
-    def _crash_once_seed():
-        # A fault seed whose first sim_crash occurrence fires and whose
-        # second does not: attempt 1 crashes, attempt 2 completes.
-        for s in range(1000):
-            plan = faults.FaultPlan({"sim_crash": 0.5}, seed=s)
-            if [plan.fire("sim_crash") for _ in range(2)] == [True, False]:
-                return s
-        raise AssertionError("no crash-once fault seed in range")
-
     def test_crash_retried_then_succeeds(self):
-        faults.configure_faults({"sim_crash": 0.5}, seed=self._crash_once_seed())
+        faults.configure_faults({"sim_crash": 0.5}, seed=first_fires_seed("sim_crash"))
         spec = CellSpec.make("test.square", "p", 4, seed=0)
-        result = supervise_cell(spec, CampaignConfig(retries=1, isolation="inline"))
+        result = run_campaign(
+            [spec], CampaignConfig(retries=1, isolation="inline")
+        ).results[0]
         assert result.ok
         assert result.attempts == 2
         assert result.value == 16
 
     def test_retried_cell_value_bit_identical(self):
-        clean = supervise_cell(
-            CellSpec.make("test.rng-bits", "p", 4, seed=0),
-            CampaignConfig(retries=1, isolation="inline"),
-        )
-        faults.configure_faults({"sim_crash": 0.5}, seed=self._crash_once_seed())
-        retried = supervise_cell(
-            CellSpec.make("test.rng-bits", "p", 4, seed=0),
-            CampaignConfig(retries=1, isolation="inline"),
-        )
+        spec = CellSpec.make("test.rng-bits", "p", 4, seed=0)
+        config = CampaignConfig(retries=1, isolation="inline")
+        clean = run_campaign([spec], config).results[0]
+        faults.configure_faults({"sim_crash": 0.5}, seed=first_fires_seed("sim_crash"))
+        retried = run_campaign([spec], config).results[0]
         assert retried.ok and retried.attempts == 2
         assert retried.value == clean.value
 
@@ -419,27 +501,29 @@ class TestBackoffDelays:
         config = CampaignConfig(
             seed=5, retries=2, isolation="inline", backoff_base=0.001
         )
-        result = supervise_cell(spec, config)
+        result = run_campaign([spec], config).results[0]
         assert result.quarantined and result.classification == "oom"
         assert len(result.delays) == 2
         assert all(d > 0.0 for d in result.delays)
         assert result.delays[0] < result.delays[1]  # exponential growth
         # Deterministic: the same cell re-run draws the same delays.
         faults.configure_faults({"sim_oom": 1.0}, seed=1)
-        again = supervise_cell(spec, config)
+        again = run_campaign([spec], config).results[0]
         assert again.delays == result.delays
 
     def test_permanent_failures_retry_without_pausing(self):
         spec = CellSpec.make("test.always-raises", "p", 3, seed=0)
-        result = supervise_cell(spec, CampaignConfig(retries=2, isolation="inline"))
+        result = run_campaign(
+            [spec], CampaignConfig(retries=2, isolation="inline")
+        ).results[0]
         assert result.quarantined and result.classification == "error"
         assert result.delays == (0.0, 0.0)
 
     def test_successful_first_attempt_records_no_delays(self):
-        result = supervise_cell(
-            CellSpec.make("test.square", "p", 3, seed=0),
+        result = run_campaign(
+            [CellSpec.make("test.square", "p", 3, seed=0)],
             CampaignConfig(retries=2, isolation="inline"),
-        )
+        ).results[0]
         assert result.ok and result.delays == ()
 
     def test_delays_survive_payload_roundtrip(self):
@@ -448,7 +532,7 @@ class TestBackoffDelays:
         config = CampaignConfig(
             seed=5, retries=1, isolation="inline", backoff_base=0.001
         )
-        result = supervise_cell(spec, config)
+        result = run_campaign([spec], config).results[0]
         restored = CellResult.from_payload(
             json.loads(json.dumps(result.payload()))
         )
