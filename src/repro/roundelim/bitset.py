@@ -10,10 +10,12 @@ arrays:
 
 * every *base* output label of ``Π`` gets one bit (:class:`BitsetUniverse`,
   the codec), so a set label of ``R(Π)`` / ``R̄(Π)`` is a single ``uint64``;
-* the edge constraint becomes one broadcast compare over the partner-mask
-  summaries (``∃``: ``summary & mask != 0``; ``∀``: ``mask & ~summary == 0``);
-* node constraints of degree ≤ 3 become the analogous folds over
-  per-label neighbor tables (degree 2) and pair tables (degree 3);
+* every constraint of the power problem, the edge constraint and each node
+  degree alike, is one walk of :func:`_selections` over a completion table
+  that maps each sorted ``(d-1)``-tuple of base labels to the mask of the
+  labels completing it: the table is folded over the selections of each
+  combination prefix (OR for ``∃``, AND for ``∀``) and the last set is
+  tested against the folded mask;
 * label domination (:func:`domination_matrix`) packs configurations into
   base-``n`` integers and answers every ``(strong, weak)`` pair with sorted
   ``np.isin`` membership — exact, no hashing;
@@ -32,9 +34,10 @@ and budget verdicts are bit-identical to the pure-Python oracle.  The
 differential harness (``tests/test_bitset_differential.py``) enforces this
 across the catalog and fuzzed problems.
 
-Every unsupported shape — more than 64 base labels, node degrees above 3
-(power problem only), oversized universes — raises :exc:`BitsetUnsupported` *before* any budget
-or stats mutation, so :mod:`repro.roundelim.ops` can fall back to the
+More than 64 base labels (and, for :func:`domination_matrix`,
+configurations too wide to pack into one integer) raises
+:exc:`BitsetUnsupported` *before* any budget or stats mutation, so
+:mod:`repro.roundelim.ops` can fall back to the
 oracle cleanly (counted per-operator as ``bitset_fallbacks``).
 """
 
@@ -54,12 +57,6 @@ from repro.utils.multiset import Multiset, label_sort_key
 
 #: Machine-word width: a base alphabet with more labels cannot be packed.
 WORD_BITS = 64
-#: Upper bound on the universe size for the pairwise (m x m) kernels.
-MAX_PAIR_UNIVERSE = 8192
-#: Upper bound on the universe size for the degree-3 (m^3) sweep.
-MAX_TRIPLE_UNIVERSE = 1024
-#: Node degrees the compiled kernels cover; higher degrees fall back.
-MAX_NODE_DEGREE = 3
 
 
 class BitsetUnsupported(Exception):
@@ -127,103 +124,93 @@ def _canonical_ranks(universe: Sequence[Any]) -> List[int]:
     return ranks
 
 
-def _fold_masks(
-    masks: np.ndarray, table: np.ndarray, use_or: bool, full_mask: int
-) -> np.ndarray:
-    """Per-universe-set fold of ``table`` over the set's member bits.
+def _bit_indices(mask: int) -> Tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    return tuple(b for b in range(mask.bit_length()) if (mask >> b) & 1)
 
-    ``use_or``: ``out[i] = OR  {table[b] : bit b set in masks[i]}``;
-    otherwise  ``out[i] = AND {table[b] : bit b set in masks[i]}``
-    (initialized to the full mask; universe sets are non-empty).
+
+def _completion(
+    configurations: Iterable[Multiset], codec: BitsetUniverse
+) -> Dict[Tuple[int, ...], int]:
+    """``table[rest]`` = mask of the labels that complete ``rest``.
+
+    ``rest`` is a sorted tuple of base-label indices one shorter than the
+    configurations; a label completes it when ``rest`` plus that label is
+    an allowed configuration.  A missing key means no label does.
     """
-    if use_or:
-        out = np.zeros(masks.shape[0], dtype=np.uint64)
-    else:
-        out = np.full(masks.shape[0], np.uint64(full_mask))
-    for b in range(table.shape[0]):
-        member = (masks >> np.uint64(b)) & np.uint64(1) != 0
-        if use_or:
-            out[member] |= table[b]
-        else:
-            out[member] &= table[b]
-    return out
-
-
-def _pair_table(
-    configurations: Iterable[Multiset], codec: BitsetUniverse
-) -> np.ndarray:
-    """``table[x] = mask of y with {x, y} allowed`` (symmetric)."""
-    table = [0] * len(codec)
+    table: Dict[Tuple[int, ...], int] = {}
     for configuration in configurations:
-        a, b = configuration.items
-        ia, ib = codec.index[a], codec.index[b]
-        table[ia] |= 1 << ib
-        table[ib] |= 1 << ia
-    return np.array(table, dtype=np.uint64)
-
-
-def _triple_table(
-    configurations: Iterable[Multiset], codec: BitsetUniverse
-) -> np.ndarray:
-    """``table[x, y] = mask of z with {x, y, z} allowed`` (symmetric)."""
-    size = len(codec)
-    table = np.zeros((size, size), dtype=np.uint64)
-    for configuration in configurations:
-        a, b, c = (codec.index[x] for x in configuration.items)
-        bit_a, bit_b, bit_c = (
-            np.uint64(1 << a),
-            np.uint64(1 << b),
-            np.uint64(1 << c),
-        )
-        table[a, b] |= bit_c
-        table[b, a] |= bit_c
-        table[a, c] |= bit_b
-        table[c, a] |= bit_b
-        table[b, c] |= bit_a
-        table[c, b] |= bit_a
+        indices = sorted(codec.index[x] for x in configuration.items)
+        for position in range(len(indices)):
+            rest = tuple(indices[:position] + indices[position + 1 :])
+            table[rest] = table.get(rest, 0) | (1 << indices[position])
     return table
 
 
-def _emit_pair(
-    universe: Sequence[FrozenSet[Any]], ranks: List[int], i: int, j: int
-) -> Multiset:
-    if ranks[i] <= ranks[j]:
-        return Multiset._from_sorted((universe[i], universe[j]))
-    return Multiset._from_sorted((universe[j], universe[i]))
+def _selections(
+    universe: Sequence[FrozenSet[Any]],
+    ranks: List[int],
+    masks: np.ndarray,
+    completion: Dict[Tuple[int, ...], int],
+    degree: int,
+    exists: bool,
+) -> List[Multiset]:
+    """The ``degree``-combinations of ``universe`` whose selections pass.
 
+    ``exists``: some choice of one base label per set completes an allowed
+    configuration; otherwise every choice does.  Combinations
+    ``i_1 <= ... <= i_d`` of universe indices are walked in the oracle's
+    ``combinations_with_replacement`` order.  At each prefix
+    ``i_1 .. i_{d-1}`` the completion table is folded over every selection
+    from the prefix sets (OR for ∃, AND for ∀), and every last index
+    ``j >= i_{d-1}`` is tested against the folded mask in one compare.
 
-def _emit_triple(
-    universe: Sequence[FrozenSet[Any]], ranks: List[int], i: int, j: int, k: int
-) -> Multiset:
-    ordered = sorted((i, j, k), key=lambda idx: ranks[idx])
-    return Multiset._from_sorted(tuple(universe[idx] for idx in ordered))
-
-
-def _check_supported(
-    problem: NodeEdgeCheckableLCL, universe: Sequence[FrozenSet[Any]]
-) -> None:
-    """Raise :exc:`BitsetUnsupported` for shapes the kernels cannot pack.
-
-    Must stay free of budget/stats side effects: the caller falls back to
-    the oracle path, which performs its own accounting from scratch.
+    The budget is ticked once per first index with the number of
+    combinations that start there, which sums to the oracle's total.
     """
-    if len(problem.sigma_out) > WORD_BITS:
-        raise BitsetUnsupported(
-            f"{len(problem.sigma_out)} base labels exceed the {WORD_BITS}-bit word"
-        )
-    if len(universe) > MAX_PAIR_UNIVERSE:
-        raise BitsetUnsupported(
-            f"universe of {len(universe)} labels exceeds the pairwise kernel bound"
-        )
-    for degree in sorted(problem.node_constraints):
-        if not problem.node_constraints[degree]:
-            continue
-        if degree > MAX_NODE_DEGREE:
-            raise BitsetUnsupported(f"node degree {degree} exceeds the compiled kernels")
-        if degree == 3 and len(universe) > MAX_TRIPLE_UNIVERSE:
-            raise BitsetUnsupported(
-                f"degree-3 sweep over {len(universe)} labels exceeds the kernel bound"
+    m = len(universe)
+    members = [_bit_indices(mask) for mask in masks.tolist()]
+    configurations: List[Multiset] = []
+
+    def test_last(prefix: Tuple[int, ...], selections: Set[Tuple[int, ...]]) -> None:
+        start = prefix[-1] if prefix else 0
+        if not prefix:
+            # Degree 1: the empty prefix is the only one and covers all m.
+            budget_scope.tick(m)
+        if exists:
+            folded = 0
+            for selection in selections:
+                folded |= completion.get(selection, 0)
+            if not folded:
+                return
+            passes = np.flatnonzero(masks[start:] & np.uint64(folded))
+        else:
+            folded = (1 << WORD_BITS) - 1
+            for selection in selections:
+                folded &= completion.get(selection, 0)
+                if not folded:
+                    return
+            passes = np.flatnonzero((masks[start:] & ~np.uint64(folded)) == 0)
+        for j in passes.tolist():
+            ordered = sorted(prefix + (start + j,), key=ranks.__getitem__)
+            configurations.append(
+                Multiset._from_sorted(tuple(universe[i] for i in ordered))
             )
+
+    def walk(prefix: Tuple[int, ...], selections: Set[Tuple[int, ...]]) -> None:
+        if len(prefix) == degree - 1:
+            test_last(prefix, selections)
+            return
+        for i in range(prefix[-1] if prefix else 0, m):
+            if not prefix:
+                budget_scope.tick(math.comb(m - i + degree - 2, degree - 1))
+            walk(
+                prefix + (i,),
+                {tuple(sorted(s + (b,))) for s in selections for b in members[i]},
+            )
+
+    walk((), {()})
+    return configurations
 
 
 def power_problem(
@@ -240,68 +227,36 @@ def power_problem(
     configuration sets, identical ``g``, identical name.  Budget charges
     (``note_alphabet``, per-constraint ``charge``) mirror the oracle's
     order exactly, so budget-exceeded verdicts agree between backends.
+    The edge constraint is the degree-2 case of the node kernel with the
+    quantifier flipped: ``R`` is ∀ at edges and ∃ at nodes, ``R̄`` the
+    reverse.
     """
-    from repro.roundelim.universe import edge_partners
-
-    _check_supported(problem, universe)
     codec = BitsetUniverse(problem.sigma_out)
     m = len(universe)
     budget_scope.note_alphabet(m)
     budget_scope.check()
-    configurations_tested = 0
-
     masks = codec.encode_array(universe)
     ranks = _canonical_ranks(universe)
 
-    # --- edge constraint: one broadcast over partner-mask summaries -------
-    partners = edge_partners(problem)
-    partner_table = np.array(
-        # The taint chain here ends in a bitmask OR-fold: encode() maps a
-        # frozenset to bits order-insensitively, so the partner dict's
-        # iteration order cannot reach the canonical bytes.
-        # repro-lint: disable=REP010 -- order-insensitive bitmask fold
-        [codec.encode(partners[label]) for label in codec.base], dtype=np.uint64
-    )
-    # R̄ (exists-at-edges) folds with OR; R (forall-at-edges) with AND —
-    # the same summary algebra as the oracle's frozenset union/intersection.
-    summaries = _fold_masks(masks, partner_table, use_or=node_forall, full_mask=codec.full_mask)
-    pair_count = m * (m + 1) // 2
-    configurations_tested += pair_count
-    budget_scope.charge(pair_count)
-    budget_scope.tick(pair_count)
-    if node_forall:
-        allowed_pairs = (summaries[:, None] & masks[None, :]) != 0
-    else:
-        allowed_pairs = (masks[None, :] & ~summaries[:, None]) == 0
-    rows, cols = np.nonzero(np.triu(allowed_pairs))
-    edge_configurations = [
-        _emit_pair(universe, ranks, i, j)
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
+    configurations_tested = 0
 
-    # --- node constraints --------------------------------------------------
+    def constraint(
+        configurations: Iterable[Multiset], degree: int, exists: bool
+    ) -> List[Multiset]:
+        nonlocal configurations_tested
+        count = math.comb(m + degree - 1, degree)
+        configurations_tested += count
+        budget_scope.charge(count)
+        completion = _completion(configurations, codec)
+        return _selections(universe, ranks, masks, completion, degree, exists)
+
+    edge_configurations = constraint(problem.edge_constraint, 2, exists=node_forall)
     node_constraints: Dict[int, List[Multiset]] = {}
     for degree in problem.node_constraints:
         allowed = problem.node_constraints[degree]
-        configurations: List[Multiset] = []
-        if allowed:
-            combo_count = _combinations_with_replacement_count(m, degree)
-            configurations_tested += combo_count
-            budget_scope.charge(combo_count)
-            budget_scope.tick(combo_count)
-            if degree == 1:
-                configurations = _node_degree_one(
-                    universe, ranks, masks, allowed, codec, node_forall
-                )
-            elif degree == 2:
-                configurations = _node_degree_two(
-                    universe, ranks, masks, allowed, codec, node_forall
-                )
-            else:
-                configurations = _node_degree_three(
-                    universe, ranks, masks, allowed, codec, node_forall
-                )
-        node_constraints[degree] = configurations
+        node_constraints[degree] = (
+            constraint(allowed, degree, exists=not node_forall) if allowed else []
+        )
     operator_cache.record(
         name_prefix, configurations_tested=configurations_tested, bitset_steps=1
     )
@@ -321,105 +276,6 @@ def power_problem(
         g=g,
         name=f"{name_prefix}({problem.name})",
     )
-
-
-def _combinations_with_replacement_count(m: int, degree: int) -> int:
-    return math.comb(m + degree - 1, degree)
-
-
-def _node_degree_one(
-    universe: Sequence[FrozenSet[Any]],
-    ranks: List[int],
-    masks: np.ndarray,
-    allowed: FrozenSet[Multiset],
-    codec: BitsetUniverse,
-    node_forall: bool,
-) -> List[Multiset]:
-    allowed_mask = 0
-    for configuration in allowed:
-        allowed_mask |= 1 << codec.index[configuration.items[0]]
-    allowed_scalar = np.uint64(allowed_mask)
-    if node_forall:
-        keep = (masks & ~allowed_scalar) == 0
-    else:
-        keep = (masks & allowed_scalar) != 0
-    return [
-        Multiset._from_sorted((universe[i],)) for i in np.nonzero(keep)[0].tolist()
-    ]
-
-
-def _node_degree_two(
-    universe: Sequence[FrozenSet[Any]],
-    ranks: List[int],
-    masks: np.ndarray,
-    allowed: FrozenSet[Multiset],
-    codec: BitsetUniverse,
-    node_forall: bool,
-) -> List[Multiset]:
-    table = _pair_table(allowed, codec)
-    # summary[i] folds the neighbor masks of the members of universe[i]:
-    # ∃-at-nodes needs the union (some member pairs with some member of the
-    # other side), ∀-at-nodes the intersection (every member pairs with
-    # every member).  The relation is symmetric, so the upper triangle of
-    # the broadcast compare enumerates exactly the oracle's i <= j combos.
-    summaries = _fold_masks(masks, table, use_or=not node_forall, full_mask=codec.full_mask)
-    if node_forall:
-        matrix = (masks[None, :] & ~summaries[:, None]) == 0
-    else:
-        matrix = (summaries[:, None] & masks[None, :]) != 0
-    rows, cols = np.nonzero(np.triu(matrix))
-    return [
-        _emit_pair(universe, ranks, i, j)
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
-
-
-def _node_degree_three(
-    universe: Sequence[FrozenSet[Any]],
-    ranks: List[int],
-    masks: np.ndarray,
-    allowed: FrozenSet[Multiset],
-    codec: BitsetUniverse,
-    node_forall: bool,
-) -> List[Multiset]:
-    table = _triple_table(allowed, codec)
-    m = masks.shape[0]
-    size = len(codec)
-    # middle[x] : per-universe-j fold of table[x, y] over y ∈ universe[j].
-    middle = np.empty((size, m), dtype=np.uint64)
-    for x in range(size):
-        middle[x] = _fold_masks(
-            masks, table[x], use_or=not node_forall, full_mask=codec.full_mask
-        )
-    configurations: List[Multiset] = []
-    for i in range(m):
-        # row[j] folds middle[x][j] over x ∈ universe[i]; then combo
-        # (i, j, k) is allowed iff universe[k]'s mask passes the usual
-        # ∃ / ∀ compare against row[j].
-        if node_forall:
-            row = np.full(m, np.uint64(codec.full_mask))
-        else:
-            row = np.zeros(m, dtype=np.uint64)
-        mask_i = int(masks[i])
-        for x in range(size):
-            if (mask_i >> x) & 1:
-                if node_forall:
-                    row &= middle[x]
-                else:
-                    row |= middle[x]
-        if node_forall:
-            matrix = (masks[None, :] & ~row[:, None]) == 0
-        else:
-            matrix = (row[:, None] & masks[None, :]) != 0
-        region = np.triu(matrix)
-        if i:
-            region[:i, :] = False
-        js, ks = np.nonzero(region)
-        configurations.extend(
-            _emit_triple(universe, ranks, i, j, k)
-            for j, k in zip(js.tolist(), ks.tolist())
-        )
-    return configurations
 
 
 # ------------------------------------------------------------- label hygiene
@@ -556,23 +412,18 @@ def box_components(
     """
     codec = BitsetUniverse(problem.sigma_out)
     allowed = problem.node_constraints.get(degree, frozenset())
-    completion: Dict[Tuple[int, ...], int] = {}
-    seeds: Set[Tuple[int, ...]] = set()
-    for configuration in allowed:
-        indices = sorted(codec.index[x] for x in configuration.items)
-        seeds.add(tuple(1 << i for i in indices))
-        for position in range(degree):
-            rest = tuple(indices[:position] + indices[position + 1 :])
-            completion[rest] = completion.get(rest, 0) | (1 << indices[position])
+    completion = _completion(allowed, codec)
+    seeds = {
+        tuple(sorted(1 << codec.index[x] for x in configuration.items))
+        for configuration in allowed
+    }
 
     members: Dict[int, Tuple[int, ...]] = {}
 
     def bits(mask: int) -> Tuple[int, ...]:
         indices = members.get(mask)
         if indices is None:
-            indices = members[mask] = tuple(
-                i for i in range(len(codec)) if (mask >> i) & 1
-            )
+            indices = members[mask] = _bit_indices(mask)
         return indices
 
     extensions: Dict[Tuple[int, ...], int] = {}
@@ -630,16 +481,17 @@ def box_components(
 
 
 def pair_neighbor_sets(problem: NodeEdgeCheckableLCL) -> Dict[Any, FrozenSet[Any]]:
-    """``{x: {y : {x, y} allowed at degree 2}}`` via the packed pair table.
+    """``{x: {y : {x, y} allowed at degree 2}}`` via the completion table.
 
     Replaces the oracle's ``n²`` ``Multiset`` membership probes when
     building the degree-2 concept lattice; the resulting sets are
     identical by construction.
     """
     codec = BitsetUniverse(problem.sigma_out)
-    table = _pair_table(problem.node_constraints.get(2, frozenset()), codec)
+    completion = _completion(problem.node_constraints.get(2, frozenset()), codec)
     return {
-        label: codec.decode(int(table[codec.index[label]])) for label in codec.base
+        label: codec.decode(completion.get((codec.index[label],), 0))
+        for label in codec.base
     }
 
 

@@ -47,20 +47,18 @@ when the disk layer is on — is computed once.  Pass ``use_cache=False``
 
 Compiled backend
 ----------------
-When the output universe fits one 64-bit word, the quantifier loops and
+When the base alphabet fits one 64-bit word, the quantifier loops and
 the domination/equivalence hygiene dispatch to the packed-bitmask
-kernels of :mod:`repro.roundelim.bitset` (numpy ``uint64`` folds over
-pair/triple tables) instead of the pure-Python paths.  The dispatch is
+kernels of :mod:`repro.roundelim.bitset` (one completion-table fold per
+constraint, at every node degree) instead of the pure-Python paths.  The dispatch is
 representation-blind: masks follow the same canonical label order the
 oracle sorts by, results are decoded back into the problem's own
 alphabet, and budget charges fire identically — so hashes, cache keys,
 and certificates do not depend on which backend answered
 (``tests/test_bitset_differential.py`` enforces this bit-for-bit).
 ``REPRO_BITSET=0`` or :func:`configure_bitset` forces the oracle;
-out-of-range inputs (alphabets past 64 labels; node degrees ≥ 4, which
-only the power-problem kernels decline — universe box enumeration is
-compiled at every degree) fall back automatically and are counted as
-``bitset_fallbacks`` in the stats.
+out-of-range inputs (alphabets past 64 labels) fall back automatically
+and are counted as ``bitset_fallbacks`` in the stats.
 
 Robustness
 ----------

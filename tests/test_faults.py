@@ -29,7 +29,7 @@ def clean_engine(monkeypatch):
     operator_cache.reset_stats()
     operator_cache.configure(enabled=True, disk_dir=None)
     # Run the chaos scenarios on the pure-Python oracle loops, the path
-    # problems past the compiled kernels take.
+    # alphabets past 64 labels take.
     configure_bitset(enabled=False)
     faults.reset_faults()
     yield
