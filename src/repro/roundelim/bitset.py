@@ -21,7 +21,11 @@ arrays:
   ``np.isin`` membership — exact, no hashing;
 * the maximal-box enumeration behind the ``R̄`` universe
   (:func:`box_components`) runs over Python-int masks at any node degree,
-  one memoized completion-table fold per box side.
+  one memoized completion-table fold per box side;
+* the canonical order search of :mod:`repro.roundelim.canonical`
+  (:func:`canonical_argmin`) ranks every candidate order at once, packs
+  each configuration's sorted ranks into one integer and takes one
+  lexicographic argmin over the orders' concatenated rows.
 
 Fidelity contract
 -----------------
@@ -34,8 +38,9 @@ and budget verdicts are bit-identical to the pure-Python oracle.  The
 differential harness (``tests/test_bitset_differential.py``) enforces this
 across the catalog and fuzzed problems.
 
-More than 64 base labels (and, for :func:`domination_matrix`,
-configurations too wide to pack into one integer) raises
+More than 64 base labels (and, for :func:`domination_matrix` and
+:func:`canonical_argmin`, configurations too wide to pack into one
+integer) raises
 :exc:`BitsetUnsupported` *before* any budget or stats mutation, so
 :mod:`repro.roundelim.ops` can fall back to the
 oracle cleanly (counted per-operator as ``bitset_fallbacks``).
@@ -529,3 +534,80 @@ def dominated_drop(matrix: np.ndarray, labels: Sequence[Any]) -> Optional[Any]:
         if bool(candidates.any()):
             return labels[weak]
     return None
+
+
+#: Elements gathered per chunk of candidate orders in
+#: :func:`canonical_argmin` (a memory guard; the budget is polled between
+#: chunks).
+_ORDER_CHUNK_ELEMS = 1 << 17
+
+
+def canonical_argmin(
+    problem: NodeEdgeCheckableLCL,
+    orders: Sequence[Sequence[Any]],
+    sigma_in_order: Sequence[Any],
+) -> int:
+    """Index of the first of ``orders`` whose canonical encoding is smallest.
+
+    Exact equivalent of the oracle loop in :mod:`repro.roundelim.canonical`,
+    which builds ``_encode_with_order`` for every order and keeps the
+    strict-``<`` minimum.  Within one problem each block of that encoding
+    (every node degree, the edge constraint, every ``g`` image) has the
+    same shape under every order, so comparing two encodings is comparing
+    their flattened rows lexicographically.  Per order, each configuration
+    becomes its sorted ranks packed into one base-``n`` integer, most
+    significant digit first (order-preserving), and each block's packed
+    rows are sorted; each ``g`` image becomes its sorted ranks.  The
+    concatenated key of each order is written big-endian, so ``bytes``
+    comparison is the lexicographic one and ``min`` keeps the first index
+    on ties.  Orders go through in chunks of ``_ORDER_CHUNK_ELEMS``
+    gathered ranks, with a budget poll before each chunk.
+    """
+    n = len(orders[0])
+    _check_packable(problem, n)
+    index = {label: i for i, label in enumerate(orders[0])}
+    rank_dtype = np.min_scalar_type(n - 1)
+    permutations = np.array(
+        [[index[label] for label in order] for order in orders], dtype=np.intp
+    )
+    # ranks[k, i]: position of label i (indexed as in orders[0]) in orders[k].
+    ranks = np.argsort(permutations, axis=1).astype(rank_dtype)
+    blocks = []
+    for configurations in [
+        problem.node_constraints[degree] for degree in sorted(problem.node_constraints)
+    ] + [problem.edge_constraint]:
+        rows = [[index[x] for x in c.items] for c in configurations]
+        if rows and rows[0]:
+            blocks.append(np.array(rows, dtype=np.intp))
+    images = [
+        np.array([index[x] for x in problem.g[i]], dtype=np.intp) for i in sigma_in_order
+    ]
+    images = [image for image in images if image.size]
+    if not blocks and not images:
+        return 0
+    width = max([rows.shape[1] for rows in blocks] + [1])
+    key_dtype = np.min_scalar_type(n**width - 1)
+    per_order = sum(rows.size for rows in blocks) + sum(image.size for image in images)
+    chunk = max(1, _ORDER_CHUNK_ELEMS // per_order)
+    best, best_key = 0, b""
+    for start in range(0, len(orders), chunk):
+        budget_scope.check()
+        part = ranks[start : start + chunk]
+        columns = []
+        for rows in blocks:
+            gathered = part[:, rows]
+            gathered.sort(axis=2)
+            packed = gathered[:, :, 0].astype(key_dtype)
+            for j in range(1, rows.shape[1]):
+                packed *= n
+                packed += gathered[:, :, j]
+            packed.sort(axis=1)
+            columns.append(packed)
+        for image in images:
+            columns.append(np.sort(part[:, image], axis=1).astype(key_dtype))
+        keys = np.concatenate(columns, axis=1).astype(key_dtype.newbyteorder(">"))
+        encoded = [row.tobytes() for row in keys]
+        local = min(range(len(encoded)), key=encoded.__getitem__)
+        if start == 0 or encoded[local] < best_key:
+            best, best_key = start + local, encoded[local]
+    return best

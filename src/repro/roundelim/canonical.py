@@ -38,6 +38,23 @@ can only cause cache misses, never wrong hits.
 :func:`canonically_equal` compensates by falling back to the exact
 backtracking isomorphism test in that (pathological) regime.
 
+Search and budget
+-----------------
+Color refinement (one counting pass per round over the configurations)
+splits ``Σ_out`` into classes; the candidate orders permute labels
+within classes, and the first order whose encoding is smallest wins.
+The argmin over the orders is compiled:
+:func:`repro.roundelim.bitset.canonical_argmin` compares every order's
+encoding at once, reached through the ``REPRO_BITSET`` switch.  The
+per-order Python loop (:func:`_oracle_argmin`) is its oracle; it answers
+when the backend is off, numpy is missing, or the configurations are
+too wide to pack into an int64.  Either way the winning encoding is
+built once by :func:`_encode_with_order`, so the digest bytes do not
+depend on the backend.  The search polls the ambient budget once per
+refinement round and before each kernel chunk or oracle order, but
+charges nothing: configuration counts stay those of the
+operators.  A trip raises through the memo, so no failure is cached.
+
 The module also provides the serialization used by the operator cache
 (:mod:`repro.utils.cache`): results of ``R`` / ``R̄`` / ``simplify`` are
 stored *relative to the canonical order of their input problem*
@@ -56,6 +73,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.exceptions import ProblemDefinitionError, ReproError
 from repro.lcl.nec import NodeEdgeCheckableLCL
+from repro.utils import budget as budget_scope
 from repro.utils.multiset import Multiset, label_sort_key
 
 #: Maximum number of candidate output orderings examined by the
@@ -74,23 +92,35 @@ class UnencodableLabelError(ReproError):
 def _initial_colors(
     problem: NodeEdgeCheckableLCL, sigma_in_order: Sequence[Any]
 ) -> Dict[Any, int]:
-    """Isomorphism-invariant starting partition of the output labels."""
-    signatures = {}
+    """Isomorphism-invariant starting partition of the output labels.
+
+    One counting pass over the configurations: per constraint (each node
+    degree, then the edge constraint), how many configurations contain
+    each label and how many times it occurs in them.
+    """
     degrees = sorted(problem.node_constraints)
+    constraints = [problem.node_constraints[d] for d in degrees]
+    constraints.append(problem.edge_constraint)
+    containing = []
+    occurring = []
+    for configurations in constraints:
+        contain = dict.fromkeys(problem.sigma_out, 0)
+        occur = dict.fromkeys(problem.sigma_out, 0)
+        for c in configurations:
+            for x in c.items:
+                occur[x] += 1
+            for x in dict.fromkeys(c.items):
+                contain[x] += 1
+        containing.append(contain)
+        occurring.append(occur)
+    signatures = {}
     for a in problem.sigma_out:
         g_pattern = tuple(a in problem.g[i] for i in sigma_in_order)
         node_pattern = tuple(
-            (
-                degree,
-                sum(1 for c in problem.node_constraints[degree] if a in c),
-                sum(c.count(a) for c in problem.node_constraints[degree]),
-            )
-            for degree in degrees
+            (degree, containing[k][a], occurring[k][a])
+            for k, degree in enumerate(degrees)
         )
-        edge_pattern = (
-            sum(1 for c in problem.edge_constraint if a in c),
-            sum(c.count(a) for c in problem.edge_constraint),
-        )
+        edge_pattern = (containing[-1][a], occurring[-1][a])
         signatures[a] = (g_pattern, node_pattern, edge_pattern)
     return _colors_from_signatures(signatures)
 
@@ -102,27 +132,37 @@ def _colors_from_signatures(signatures: Dict[Any, Any]) -> Dict[Any, int]:
 
 
 def _refine(problem: NodeEdgeCheckableLCL, sigma_in_order: Sequence[Any]) -> Dict[Any, int]:
-    """Color refinement: iterate role signatures to a stable partition."""
+    """Color refinement: iterate role signatures to a stable partition.
+
+    A label's signature is its color plus the sorted colorings of the
+    edge and node configurations that contain it.  Each round colors
+    every configuration once and hands the result to the labels in it.
+    The budget is polled once per round.
+    """
     colors = _initial_colors(problem, sigma_in_order)
+    edge = [(c.items, tuple(dict.fromkeys(c.items))) for c in problem.edge_constraint]
+    node = [
+        (degree, c.items, tuple(dict.fromkeys(c.items)))
+        for degree in sorted(problem.node_constraints)
+        for c in problem.node_constraints[degree]
+    ]
     while True:
-        signatures = {}
-        for a in problem.sigma_out:
-            edge_view = tuple(
-                sorted(
-                    tuple(sorted(colors[x] for x in c.items))
-                    for c in problem.edge_constraint
-                    if a in c
-                )
-            )
-            node_view = tuple(
-                sorted(
-                    (degree, tuple(sorted(colors[x] for x in c.items)))
-                    for degree, configurations in problem.node_constraints.items()
-                    for c in configurations
-                    if a in c
-                )
-            )
-            signatures[a] = (colors[a], edge_view, node_view)
+        budget_scope.check()
+        color_of = colors.__getitem__
+        edge_views: Dict[Any, List[tuple]] = {a: [] for a in problem.sigma_out}
+        for items, support in edge:
+            view = tuple(sorted(map(color_of, items)))
+            for a in support:
+                edge_views[a].append(view)
+        node_views: Dict[Any, List[tuple]] = {a: [] for a in problem.sigma_out}
+        for degree, items, support in node:
+            view = (degree, tuple(sorted(map(color_of, items))))
+            for a in support:
+                node_views[a].append(view)
+        signatures = {
+            a: (colors[a], tuple(sorted(edge_views[a])), tuple(sorted(node_views[a])))
+            for a in problem.sigma_out
+        }
         refined = _colors_from_signatures(signatures)
         if len(set(refined.values())) == len(set(colors.values())):
             return refined
@@ -195,13 +235,55 @@ def _candidate_orders(
     return orders, complete
 
 
+def _oracle_argmin(
+    problem: NodeEdgeCheckableLCL,
+    orders: Sequence[Tuple[Any, ...]],
+    sigma_in_order: Sequence[Any],
+) -> Tuple[Any, ...]:
+    """The first order whose encoding is smallest, one encoding per order.
+
+    The pure-Python reference for the compiled search
+    (:func:`repro.roundelim.bitset.canonical_argmin`); it answers when
+    the backend is off, numpy is missing, or the shape cannot be packed.
+    """
+    best_order = orders[0]
+    best_encoding = None
+    for order in orders:
+        budget_scope.check()
+        encoding = _encode_with_order(problem, order, sigma_in_order)
+        if best_encoding is None or encoding < best_encoding:
+            best_encoding = encoding
+            best_order = order
+    return best_order
+
+
+def _best_order(
+    problem: NodeEdgeCheckableLCL,
+    orders: Sequence[Tuple[Any, ...]],
+    sigma_in_order: Sequence[Any],
+) -> Tuple[Any, ...]:
+    """The argmin of the order search: compiled kernel, else the oracle."""
+    if len(orders) == 1:
+        return orders[0]
+    from repro.roundelim.ops import _bitset_backend
+
+    backend = _bitset_backend()
+    if backend is not None:
+        try:
+            return orders[backend.canonical_argmin(problem, orders, sigma_in_order)]
+        except backend.BitsetUnsupported:
+            pass
+    return _oracle_argmin(problem, orders, sigma_in_order)
+
+
 @lru_cache(maxsize=512)
 def _canonical_state(problem: NodeEdgeCheckableLCL) -> Tuple[Tuple[Any, ...], tuple, str, bool]:
     """``(order, encoding, hash, complete)`` for a problem, memoized.
 
     The memo key uses the problem's structural ``__eq__`` / ``__hash__``,
     so repeated operator calls on the same object (or equal copies) pay
-    the canonicalization once.
+    the canonicalization once.  A budget trip raises out of the memo, so
+    no failure is ever cached.
     """
     sigma_in_order = tuple(sorted(problem.sigma_in, key=label_sort_key))
     colors = _refine(problem, sigma_in_order)
@@ -210,13 +292,8 @@ def _canonical_state(problem: NodeEdgeCheckableLCL) -> Tuple[Tuple[Any, ...], tu
         classes.setdefault(colors[label], []).append(label)
     ordered_classes = [classes[color] for color in sorted(classes)]
     orders, complete = _candidate_orders(ordered_classes, PERMUTATION_BUDGET)
-    best_order = None
-    best_encoding = None
-    for order in orders:
-        encoding = _encode_with_order(problem, order, sigma_in_order)
-        if best_encoding is None or encoding < best_encoding:
-            best_encoding = encoding
-            best_order = order
+    best_order = _best_order(problem, orders, sigma_in_order)
+    best_encoding = _encode_with_order(problem, best_order, sigma_in_order)
     digest = hashlib.sha256(repr(best_encoding).encode("utf-8")).hexdigest()
     return best_order, best_encoding, digest, complete
 

@@ -38,7 +38,7 @@ from repro.lcl.catalog import standard_catalog
 from repro.lcl.random_problems import random_lcl, solvable_random_lcl
 from repro.roundelim import ProblemSequence
 from repro.roundelim import ops
-from repro.roundelim.canonical import canonical_hash
+from repro.roundelim.canonical import canonical_hash, clear_canonical_memo
 from repro.roundelim.gap import speedup
 from repro.roundelim.ops import (
     R,
@@ -53,9 +53,11 @@ from repro.verify.certificate import body_checksum
 
 CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
 
-#: Degree-4 catalog problems whose oracle walk takes more than ~4 s on one
-#: core (``5-coloring``: ~20 s, mostly canonical hashing of its 31-label
-#: ``R``); they run with the fuzz sweep (``-m fuzz``).
+#: Degree-4 catalog problems whose differential walk takes more than ~4 s
+#: on one core; they run with the fuzz sweep (``-m fuzz``).  ``5-coloring``
+#: takes ~28 s on 2 cores: ~22 s in the oracle leg (the pure-Python
+#: ``R`` / ``R̄`` loops and the oracle order search over its 31-label ``R``)
+#: and ~6 s in the kernel leg, mostly ``_box_components_degree_two``.
 SLOW_DEGREE_4 = {"5-coloring"}
 
 #: The degree-3 catalog under its own names, then the degree-4 catalog.
@@ -116,6 +118,7 @@ def engine_trace(problem, enabled):
     trace as markers and must simply agree across backends.
     """
     configure_bitset(enabled=enabled)
+    clear_canonical_memo()
     trace = []
     try:
         r = R(problem, max_universe=MAX_UNIVERSE, use_cache=False)
