@@ -9,9 +9,11 @@ strings stored at the visible nodes.
 :class:`Ball` captures this as a standalone structure with *local* node
 indices assigned in canonical BFS order (distance first, then discovery
 through ports in increasing order), so ``distance`` never decreases with the
-local index; :class:`~repro.local.iterative.IterativeAlgorithm` relies on
-this to replay rounds over a prefix of the local indices.  Because port
-numbers are part of the model, this canonical order makes two balls
+local index.  :class:`~repro.local.iterative.IterativeAlgorithm` relies on
+this to replay rounds over a prefix of the local indices, and
+:func:`grow_ball` to widen a ball by resuming its BFS at the outer layer
+instead of extracting the wider ball afresh.  Because port numbers are
+part of the model, this canonical order makes two balls
 port-isomorphic **iff** their :meth:`Ball.signature` strings are equal —
 which is how we implement order-invariance checks and 0-round function
 tables without a general isomorphism search.
@@ -19,8 +21,8 @@ tables without a general isomorphism search.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.core import Graph, HalfEdgeLabeling
 
@@ -28,11 +30,16 @@ from repro.graphs.core import Graph, HalfEdgeLabeling
 class Ball:
     """The radius-``T`` view around a center node.
 
-    Local node 0 is always the center.  ``adj[v][port]`` is
+    Local node 0 is always the center (a region from
+    :func:`extract_region` has one center per local index ``0 .. k-1``).
+    ``adj[v][port]`` is
     ``(local neighbor, remote port)`` for edges *visible inside the ball*;
     ports of visible nodes whose edges leave the ball are present in
     ``degrees`` / ``inputs`` but absent from ``adj`` (the algorithm knows
     the half-edge exists but not where it leads).
+
+    A ball is a read-only view: :func:`grow_ball` builds a wider ball from
+    a narrower one, so consumers must not mutate the balls they are given.
     """
 
     __slots__ = (
@@ -154,42 +161,126 @@ def extract_ball(
     omitted when the corresponding information is not part of the model
     variant being simulated.
     """
+    return extract_region(graph, [center], radius, input_labeling, ids, bits)
+
+
+def extract_region(
+    graph: Graph,
+    centers: Sequence[int],
+    radius: int,
+    input_labeling: Optional[HalfEdgeLabeling] = None,
+    ids: Optional[List[int]] = None,
+    bits: Optional[List[str]] = None,
+) -> Ball:
+    """The union of the radius-``radius`` balls around ``centers``.
+
+    One multi-source BFS: local nodes ``0 .. k-1`` are the distinct
+    centers in order of first occurrence, and ``distance`` is the distance
+    to the nearest center, so it still never decreases with the local
+    index.  With a single center this is exactly :func:`extract_ball`.
+    """
     ball = Ball(radius)
+    label_of = None if input_labeling is None else input_labeling.get
+    for center in centers:
+        if center not in ball._local_of_global:
+            _admit(ball, graph, center, 0, label_of, ids, bits)
+    return _explore(ball, graph, 0, label_of, ids, bits)
 
-    def admit(global_v: int, d: int) -> int:
-        local = ball.num_nodes
-        ball.global_index.append(global_v)
-        ball.distance.append(d)
-        ball.degrees.append(graph.degree(global_v))
-        ball.ids.append(None if ids is None else ids[global_v])
-        ball.inputs.append(
-            tuple(
-                input_labeling.get((global_v, p)) if input_labeling is not None else None
-                for p in range(graph.degree(global_v))
-            )
-        )
-        ball.bits.append(None if bits is None else bits[global_v])
-        ball.adj.append({})
-        ball._local_of_global[global_v] = local
-        return local
 
-    admit(center, 0)
-    queue = deque([0])
-    while queue:
-        local_v = queue.popleft()
-        d = ball.distance[local_v]
+def grow_ball(
+    graph: Graph,
+    ball: Ball,
+    radius: int,
+    input_labeling: Optional[HalfEdgeLabeling] = None,
+    ids: Optional[List[int]] = None,
+    bits: Optional[List[str]] = None,
+) -> Ball:
+    """``ball`` widened to ``radius``, equal to a fresh extraction.
+
+    ``ball`` must have been extracted (or grown) from ``graph`` with the
+    same ``input_labeling`` / ``ids`` / ``bits`` and a radius of at most
+    ``radius``.  Local indices are BFS-ordered, so ``ball`` is a prefix of
+    the result: the BFS simply resumes at ``ball``'s outer layer, the only
+    nodes it left unexpanded.  ``ball`` itself is left unchanged.
+    """
+    if radius < ball.radius:
+        raise ValueError(f"cannot grow a radius-{ball.radius} ball to radius {radius}")
+    grown = Ball(radius)
+    grown.global_index = list(ball.global_index)
+    grown.distance = list(ball.distance)
+    grown.degrees = list(ball.degrees)
+    grown.ids = list(ball.ids)
+    grown.inputs = list(ball.inputs)
+    grown.bits = list(ball.bits)
+    grown.adj = [dict(row) for row in ball.adj]
+    grown._local_of_global = dict(ball._local_of_global)
+    label_of = None if input_labeling is None else input_labeling.get
+    outer = bisect_left(ball.distance, ball.radius)
+    return _explore(grown, graph, outer, label_of, ids, bits)
+
+
+def _admit(
+    ball: Ball,
+    graph: Graph,
+    global_v: int,
+    d: int,
+    label_of: Optional[Callable[[Tuple[int, int]], Any]],
+    ids: Optional[List[int]],
+    bits: Optional[List[str]],
+) -> int:
+    local = len(ball.global_index)
+    degree = graph.degree(global_v)
+    ball.global_index.append(global_v)
+    ball.distance.append(d)
+    ball.degrees.append(degree)
+    ball.ids.append(None if ids is None else ids[global_v])
+    ball.inputs.append(
+        (None,) * degree
+        if label_of is None
+        else tuple([label_of((global_v, p)) for p in range(degree)])
+    )
+    ball.bits.append(None if bits is None else bits[global_v])
+    ball.adj.append({})
+    ball._local_of_global[global_v] = local
+    return local
+
+
+def _explore(
+    ball: Ball,
+    graph: Graph,
+    first: int,
+    label_of: Optional[Callable[[Tuple[int, int]], Any]],
+    ids: Optional[List[int]],
+    bits: Optional[List[str]],
+) -> Ball:
+    """Run ``ball``'s BFS out to ``ball.radius``, expanding from ``first``.
+
+    The BFS queue is the local-index order itself: nodes are admitted in
+    BFS order, so expanding local indices ``first, first + 1, ...`` until
+    one lies at the radius is a breadth-first traversal.  Every node
+    before ``first`` must already be expanded.
+    """
+    radius = ball.radius
+    global_index = ball.global_index
+    distance = ball.distance
+    adj = ball.adj
+    local_of_global = ball._local_of_global
+    local_v = first
+    while local_v < len(global_index):
+        d = distance[local_v]
         if d >= radius:
             # Edges between two distance-`radius` nodes (or leaving the
-            # ball) are invisible per Definition 2.1.
-            continue
-        global_v = ball.global_index[local_v]
-        for port in range(graph.degree(global_v)):
-            global_u = graph.neighbor(global_v, port)
-            remote_port = graph.neighbor_port(global_v, port)
-            local_u = ball._local_of_global.get(global_u)
+            # ball) are invisible per Definition 2.1; every later node is
+            # at the radius too.
+            break
+        row = adj[local_v]
+        for port, (global_u, remote_port) in enumerate(
+            graph.port_entries(global_index[local_v])
+        ):
+            local_u = local_of_global.get(global_u)
             if local_u is None:
-                local_u = admit(global_u, d + 1)
-                queue.append(local_u)
-            ball.adj[local_v][port] = (local_u, remote_port)
-            ball.adj[local_u][remote_port] = (local_v, port)
+                local_u = _admit(ball, graph, global_u, d + 1, label_of, ids, bits)
+            row[port] = (local_u, remote_port)
+            adj[local_u][remote_port] = (local_v, port)
+        local_v += 1
     return ball

@@ -128,6 +128,14 @@ class Graph:
         """The *remote* port: which port of the neighbor this edge uses."""
         return self._port_entry(v, port)[1]
 
+    def port_entries(self, v: int) -> Sequence[Tuple[int, int]]:
+        """``v``'s ports in order: entry ``p`` is ``(neighbor, remote port)``.
+
+        This is the graph's own table, returned without a copy for the
+        BFS hot loops; callers must not mutate it.
+        """
+        return self._ports[v]
+
     def _port_entry(self, v: int, port: int) -> Tuple[int, int]:
         try:
             return self._ports[v][port]

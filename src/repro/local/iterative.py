@@ -5,8 +5,16 @@ sweeps) are naturally stated as synchronous message-passing: every node
 holds a state and updates it each round from its neighbors' states.  A
 ``T``-round message-passing algorithm is exactly a function of the
 radius-``T`` ball (Definition 2.1), and :class:`IterativeAlgorithm` makes
-that equivalence executable: it extracts the radius-``T`` ball once and
-replays the synchronous schedule *inside* the ball.
+that equivalence executable in two ways:
+
+* a simulator run executes **one shared schedule** for all its targets
+  (:meth:`IterativeAlgorithm.run_targets`): the region is the union of
+  the targets' balls, and each (node, round) pair any target's ball needs
+  is stepped once, however many balls overlap there;
+* :meth:`IterativeAlgorithm.run` extracts one node's radius-``T`` ball and
+  replays the schedule *inside* it.  This per-ball replay serves delegated
+  contexts (the Lemma 3.9 lifting simulates an inner algorithm at a
+  neighbor) and is the oracle the shared schedule is tested against.
 
 The replay is sound because of the standard information argument: after
 ``t`` rounds, the state of a node at distance ``d`` from the center is
@@ -20,7 +28,8 @@ The replay contract, which every subclass keeps:
 * :meth:`IterativeAlgorithm.step` is a pure function of its arguments.
   The replay may call it in any order, once per node per round, and the
   same ``(round, state, neighbor states)`` must always give the same
-  next state.
+  next state.  This is also what makes a failing shared schedule safe to
+  rerun target by target: the rerun raises the same first error.
 * Parameters that depend only on ``n`` (round schedules, palettes) live
   in memoized pure functions such as
   :func:`~repro.local.algorithms.linial.reduction_schedule` and
@@ -29,16 +38,19 @@ The replay contract, which every subclass keeps:
 * The replay relies on the BFS order of a ball's local indices (see
   :mod:`repro.graphs.balls`): ``distance`` never decreases with the local
   index, so the nodes still determined after a round are a prefix of the
-  local indices, and only that prefix is stepped.
+  local indices, and only that prefix is stepped.  A multi-source region
+  (:func:`~repro.graphs.balls.extract_region`) keeps that order, so the
+  shared schedule is the same replay over the region.
 """
 
 from __future__ import annotations
 
 import abc
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.graphs.balls import Ball
+from repro.graphs.balls import Ball, extract_region
+from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.local.model import LocalAlgorithm, NodeContext
 
 
@@ -103,6 +115,50 @@ class IterativeAlgorithm(LocalAlgorithm):
         return self.rounds(n) + self.finalize_lookahead
 
     # ------------------------------------------------------------ execution
+    def run_targets(
+        self,
+        graph: Graph,
+        targets: Sequence[int],
+        declared_n: int,
+        inputs: Optional[HalfEdgeLabeling],
+        ids: Optional[List[int]],
+        bits: Optional[List[str]],
+    ) -> Optional[Tuple[int, List[Dict[int, Any]]]]:
+        """One synchronous schedule over the union of the targets' balls.
+
+        The region is the multi-source BFS from the targets out to the
+        horizon ``rounds + finalize_lookahead``; round ``t`` steps the nodes
+        within ``horizon - t - 1`` of some target — exactly the union of
+        the (node, round) pairs the per-target replays of :meth:`run`
+        step, so each is stepped once however many balls share it.
+        Subclasses that override :meth:`run` keep the per-target path.
+        """
+        if type(self).run is not IterativeAlgorithm.run:
+            return None
+        total_rounds = self.rounds(declared_n)
+        lookahead = self.finalize_lookahead
+        horizon = total_rounds + lookahead
+        region = extract_region(graph, targets, horizon, inputs, ids, bits)
+        states = self._replay(region, total_rounds, declared_n)
+        outputs: List[Dict[int, Any]] = []
+        for v in targets:
+            local = region.local_of_global(v)
+            degree = region.degrees[local]
+            # Without lookahead the center's ball ends at the center after
+            # the last round, so its neighbors' states read None — even
+            # when a neighbor is itself a target of the region.
+            neighbor_states = (
+                self._neighbor_states(region, local, states)
+                if lookahead
+                else (None,) * degree
+            )
+            outputs.append(
+                self.finalize(
+                    states[local], neighbor_states, degree, region.inputs[local], declared_n
+                )
+            )
+        return horizon, outputs
+
     def run(self, ctx: NodeContext) -> Dict[int, Any]:
         n = ctx.declared_n
         total_rounds = self.rounds(n)

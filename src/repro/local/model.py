@@ -16,13 +16,26 @@ the simulator compares the maximum charge against the radius the algorithm
 declared, so a buggy algorithm cannot silently read further than its
 stated round complexity — the locality measurements in the benchmarks are
 exactly these charges.
+
+A context asked for a wider ball than the last one it handed out grows
+that ball (:func:`~repro.graphs.balls.grow_ball`) instead of extracting
+it afresh, which serves the algorithms that widen their view in a loop.
+
+:func:`run_local_algorithm` first offers the algorithm every target at
+once (:meth:`LocalAlgorithm.run_targets`): an
+:class:`~repro.local.iterative.IterativeAlgorithm` executes one shared
+synchronous schedule for all of them, so a node-round shared by many
+balls is computed once.  Otherwise — or if that shared execution raises —
+:meth:`LocalAlgorithm.run` runs at each target through its own context,
+which is also the shared execution's oracle and reports the first error
+exactly as a per-target run does.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     AlgorithmError,
@@ -30,7 +43,7 @@ from repro.exceptions import (
     ReproError,
     SimulationError,
 )
-from repro.graphs.balls import Ball, extract_ball
+from repro.graphs.balls import Ball, extract_ball, grow_ball
 from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.utils.rng import SplittableRNG
 
@@ -70,6 +83,9 @@ class NodeContext:
         self._bits = bits
         self._meter = meter if meter is not None else _ChargeMeter()
         self._depth = depth
+        # The last ball handed out and whether it omits identifiers: a
+        # wider request in the same mode grows it instead of re-extracting.
+        self._last_ball: Optional[Tuple[bool, Ball]] = None
 
     # ----------------------------------------------------------- local info
     # Reading any local datum of a delegated context is knowledge about a
@@ -110,14 +126,15 @@ class NodeContext:
         if radius < 0:
             raise SimulationError("ball radius must be non-negative")
         self._meter.charge(self._depth + radius)
-        return extract_ball(
-            self.graph,
-            self.node,
-            radius,
-            input_labeling=self._inputs,
-            ids=None if ids == "none" else self._ids,
-            bits=self._bits,
-        )
+        hide_ids = ids == "none"
+        id_list = None if hide_ids else self._ids
+        last = self._last_ball
+        if last is not None and last[0] == hide_ids and last[1].radius <= radius:
+            ball = grow_ball(self.graph, last[1], radius, self._inputs, id_list, self._bits)
+        else:
+            ball = extract_ball(self.graph, self.node, radius, self._inputs, id_list, self._bits)
+        self._last_ball = (hide_ids, ball)
+        return ball
 
     def delegate(self, port: int) -> "NodeContext":
         """A context centered at the neighbor across ``port``.
@@ -158,6 +175,24 @@ class LocalAlgorithm(abc.ABC):
     @abc.abstractmethod
     def run(self, ctx: NodeContext) -> Dict[int, Any]:
         """Compute the node's output labels, keyed by port."""
+
+    def run_targets(
+        self,
+        graph: Graph,
+        targets: Sequence[int],
+        declared_n: int,
+        inputs: Optional[HalfEdgeLabeling],
+        ids: Optional[List[int]],
+        bits: Optional[List[str]],
+    ) -> Optional[Tuple[int, List[Dict[int, Any]]]]:
+        """Every target's outputs from one execution shared by all targets.
+
+        Returns ``(charge, outputs)``: the radius :meth:`run` charges at
+        each target, and per target the port outputs :meth:`run` returns
+        there.  The default ``None`` makes the simulator call :meth:`run`
+        at each target instead.
+        """
+        return None
 
 
 @dataclass
@@ -227,32 +262,52 @@ def run_local_algorithm(
             for v in range(graph.num_nodes)
         ]
 
+    targets: Sequence[int] = range(graph.num_nodes) if nodes is None else list(nodes)
+    for v in targets:
+        if not 0 <= v < graph.num_nodes:
+            raise SimulationError(
+                f"target node {v} is not a node of the graph "
+                f"(nodes are 0..{graph.num_nodes - 1})"
+            )
+
     declared_radius = algorithm.radius(n)
+    shared = None
+    if targets:
+        try:
+            shared = algorithm.run_targets(graph, targets, n, inputs, id_list, bit_list)
+        except Exception:
+            # The per-target runs below step a subset of the same pure
+            # computations in today's order, so they re-raise the first
+            # failure exactly as a run without the shared execution would.
+            shared = None
     outputs = HalfEdgeLabeling(graph)
     radius_per_node: List[int] = []
-    targets = range(graph.num_nodes) if nodes is None else nodes
-    for v in targets:
-        ctx = NodeContext(graph, v, n, inputs, id_list, bit_list)
-        try:
-            port_outputs = algorithm.run(ctx)
-        except ReproError:
-            raise
-        except Exception as error:
-            # Structured failure surfacing: a campaign supervisor (or any
-            # caller) sees *which node* of *which algorithm* crashed, with
-            # the original exception chained, instead of an anonymous
-            # low-level error escaping the simulator.
-            raise NodeExecutionError(
-                f"{algorithm.name} crashed at node {v} "
-                f"(radius charged so far: {ctx.charged_radius}): "
-                f"{type(error).__name__}: {error}",
-                node=v,
-                algorithm=algorithm.name,
-            ) from error
-        radius_per_node.append(ctx.charged_radius)
-        if enforce_radius and ctx.charged_radius > declared_radius:
+    for index, v in enumerate(targets):
+        if shared is not None:
+            charged, port_outputs = shared[0], shared[1][index]
+        else:
+            ctx = NodeContext(graph, v, n, inputs, id_list, bit_list)
+            try:
+                port_outputs = algorithm.run(ctx)
+            except ReproError:
+                raise
+            except Exception as error:
+                # Structured failure surfacing: a campaign supervisor (or
+                # any caller) sees *which node* of *which algorithm*
+                # crashed, with the original exception chained, instead of
+                # an anonymous low-level error escaping the simulator.
+                raise NodeExecutionError(
+                    f"{algorithm.name} crashed at node {v} "
+                    f"(radius charged so far: {ctx.charged_radius}): "
+                    f"{type(error).__name__}: {error}",
+                    node=v,
+                    algorithm=algorithm.name,
+                ) from error
+            charged = ctx.charged_radius
+        radius_per_node.append(charged)
+        if enforce_radius and charged > declared_radius:
             raise AlgorithmError(
-                f"{algorithm.name} used radius {ctx.charged_radius} at node {v} "
+                f"{algorithm.name} used radius {charged} at node {v} "
                 f"but declared {declared_radius} for n={n}"
             )
         if set(port_outputs) != set(range(graph.degree(v))):

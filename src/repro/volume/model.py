@@ -53,16 +53,23 @@ class ProbeOracle:
         self.inputs = inputs
         self.ids = list(ids)
         self.probe_count = 0
+        # Built on first reveal: queries re-reveal the same nodes many
+        # times, and a NodeTuple is immutable, so every reveal shares one.
+        self._tuples: List[Optional[NodeTuple]] = [None] * graph.num_nodes
 
     def tuple_of(self, node: int) -> NodeTuple:
-        return NodeTuple(
-            identifier=self.ids[node],
-            degree=self.graph.degree(node),
-            inputs=tuple(
-                self.inputs.get((node, p)) if self.inputs is not None else None
-                for p in range(self.graph.degree(node))
-            ),
-        )
+        revealed = self._tuples[node]
+        if revealed is None:
+            degree = self.graph.degree(node)
+            revealed = self._tuples[node] = NodeTuple(
+                identifier=self.ids[node],
+                degree=degree,
+                inputs=tuple(
+                    self.inputs.get((node, p)) if self.inputs is not None else None
+                    for p in range(degree)
+                ),
+            )
+        return revealed
 
     def probe(self, node: int, port: int) -> int:
         """The graph node behind ``node``'s ``port``; counts one probe."""

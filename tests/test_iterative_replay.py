@@ -6,23 +6,32 @@ the state the global synchronous execution would.  These tests check that
 claim directly by comparing the replay against a straightforward global
 simulator on random trees and cycles.
 
-The replay itself steps a flat BFS-ordered prefix of the ball over a
-precomputed neighbor table; it is held identical (per-node states,
-outputs, radius charges) to the per-round loop it replaced, which lives
-on below as :func:`oracle_replay`.
+Two differentials hold the fast paths to their oracles:
+
+* the flat BFS-prefix replay of one ball against the per-round loop it
+  replaced, which lives on below as :func:`oracle_replay`;
+* the one shared schedule a simulator run executes over all its targets
+  (:meth:`IterativeAlgorithm.run_targets`) against the per-target ball
+  replay of :meth:`IterativeAlgorithm.run`: equal outputs, per-node
+  charges, declared radius and errors.
 """
 
-from types import MethodType
 from typing import Any, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import AlgorithmError, NodeExecutionError
 from repro.graphs import cycle, path, random_ids, random_tree
 from repro.graphs.balls import extract_ball
 from repro.grids import GridProductColoring, OrientedGrid, prod_ids
-from repro.local import IterativeAlgorithm, LubyMIS, run_local_algorithm
+from repro.local import (
+    IterativeAlgorithm,
+    LubyMIS,
+    RandomizedTrialColoring,
+    run_local_algorithm,
+)
 from repro.local.algorithms.cole_vishkin import (
     ColeVishkinColoring,
     orient_path_inputs,
@@ -140,6 +149,40 @@ def node_bits(graph, algorithm, seed):
     ]
 
 
+def per_target_run(graph, algorithm, **kwargs):
+    """The simulator without the shared schedule: ``run`` replays each ball."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "run_targets", lambda *args: None)
+        return run_local_algorithm(graph, algorithm, **kwargs)
+
+
+def shared_run(graph, algorithm, **kwargs):
+    """The simulator as shipped, asserting the shared schedule really ran."""
+    ran = []
+    original = algorithm.run_targets
+
+    def spy(*args):
+        result = original(*args)
+        ran.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "run_targets", spy)
+        result = run_local_algorithm(graph, algorithm, **kwargs)
+    assert ran == [True], "the run fell back to per-target replays"
+    return result
+
+
+def assert_shared_matches_per_target(graph, algorithm, **kwargs):
+    shared = shared_run(graph, algorithm, **kwargs)
+    oracle = per_target_run(graph, algorithm, **kwargs)
+    assert dict(shared.outputs.items()) == dict(oracle.outputs.items())
+    assert shared.radius_per_node == oracle.radius_per_node
+    assert shared.declared_radius == oracle.declared_radius
+    assert shared.max_radius_used == oracle.max_radius_used
+    return shared
+
+
 def assert_replay_matches_oracle(
     graph, algorithm, inputs=None, ids=None, bits=None, nodes=None
 ):
@@ -156,17 +199,9 @@ def assert_replay_matches_oracle(
             ball = extract_ball(graph, v, horizon, inputs, ids, bits)
             flat = algorithm._replay(ball, total_rounds, n)
             assert flat == oracle_replay(algorithm, ball, total_rounds, n), (v, horizon)
-    flat_run = run_local_algorithm(
+    assert_shared_matches_per_target(
         graph, algorithm, inputs=inputs, ids=ids, bits=bits, nodes=nodes
     )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algorithm, "_replay", MethodType(oracle_replay, algorithm))
-        oracle_run = run_local_algorithm(
-            graph, algorithm, inputs=inputs, ids=ids, bits=bits, nodes=nodes
-        )
-    assert dict(flat_run.outputs.items()) == dict(oracle_run.outputs.items())
-    assert flat_run.radius_per_node == oracle_run.radius_per_node
-    assert flat_run.declared_radius == oracle_run.declared_radius
 
 
 class TestFlatReplayMatchesOracle:
@@ -230,6 +265,238 @@ class TestFlatReplayMatchesOracle:
             if ball.distance[v] == 1:
                 ball.adj[v].pop(max(ball.adj[v]))
         assert algorithm._replay(ball, 3, 20) == oracle_replay(algorithm, ball, 3, 20)
+
+
+# ---------------------------------------------------------------------------
+# Differential: one shared schedule per run against per-target ball replays.
+
+
+class NeighborEcho(SumOfIdsFlood):
+    """Outputs exactly what ``finalize`` is handed, at any lookahead."""
+
+    def __init__(self, rounds, lookahead):
+        super().__init__(rounds)
+        self.finalize_lookahead = lookahead
+        self.name = f"neighbor-echo(T={rounds}, L={lookahead})"
+
+    def finalize(self, state, neighbor_states, degree, inputs, n):
+        return {p: (state, neighbor_states, inputs) for p in range(degree)}
+
+
+class UnderDeclared(SumOfIdsFlood):
+    """Declares one round fewer than its schedule reads."""
+
+    name = "under-declared-flood"
+
+    def radius(self, n):
+        return max(0, self.rounds(n) - 1)
+
+
+class StepFailsAt(SumOfIdsFlood):
+    """``step`` raises at the node carrying one identifier."""
+
+    name = "step-fails-at"
+
+    def __init__(self, rounds, bad_id, error=KeyError):
+        super().__init__(rounds)
+        self.bad_id = bad_id
+        self.error = error
+
+    def step(self, round_index, state, neighbor_states, n):
+        if state[0] == self.bad_id:
+            raise self.error(f"no table entry for id {self.bad_id}")
+        return super().step(round_index, state, neighbor_states, n)
+
+
+class TestSharedScheduleMatchesPerTargetReplay:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=100))
+    def test_sampled_and_duplicate_targets(self, n, seed):
+        graph = random_tree(n, max_degree=3, seed=seed)
+        nodes = [(7 * seed + 13 * k) % n for k in range(1 + seed % 7)]
+        nodes += nodes[: len(nodes) // 2]
+        result = assert_shared_matches_per_target(
+            graph, LinialColoring(max_degree=3),
+            ids=random_ids(graph, seed=seed), nodes=nodes,
+        )
+        # One charge per occurrence, duplicates included.
+        assert len(result.radius_per_node) == len(nodes)
+
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    @pytest.mark.parametrize("nodes", [None, [4, 5], [5, 4, 5, 11]])
+    def test_lookahead_with_adjacent_targets(self, lookahead, rounds, nodes):
+        # Adjacent targets share a region; with lookahead 0 each must
+        # still see its neighbors' final states as None.
+        graph = cycle(12)
+        inputs = orient_path_inputs(graph)
+        result = assert_shared_matches_per_target(
+            graph, NeighborEcho(rounds, lookahead),
+            inputs=inputs, ids=random_ids(graph, seed=rounds), nodes=nodes,
+        )
+        if lookahead == 0:
+            for label in dict(result.outputs.items()).values():
+                assert label[1] == (None, None)
+
+    @pytest.mark.parametrize("declared_n", [40, 10**4, 10**9])
+    def test_declared_n_override(self, declared_n):
+        graph = random_tree(40, max_degree=3, seed=3)
+        assert_shared_matches_per_target(
+            graph, LinialColoring(max_degree=3),
+            ids=random_ids(graph, seed=3), declared_n=declared_n, nodes=range(0, 40, 3),
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [LubyMIS(phases=4), RandomizedTrialColoring(max_degree=3, trial_rounds=3)],
+        ids=["luby", "trial-coloring"],
+    )
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_seeded_and_bit_replay(self, algorithm, seed):
+        graph = random_tree(30, max_degree=3, seed=seed)
+        ids = random_ids(graph, seed=seed)
+        seeded = assert_shared_matches_per_target(graph, algorithm, ids=ids, seed=seed)
+        replayed = assert_shared_matches_per_target(
+            graph, algorithm, ids=ids, bits=node_bits(graph, algorithm, seed)
+        )
+        assert dict(seeded.outputs.items()) == dict(replayed.outputs.items())
+
+    def test_under_declared_radius_without_enforcement(self):
+        graph = random_tree(20, max_degree=3, seed=2)
+        ids = random_ids(graph, seed=2)
+        result = assert_shared_matches_per_target(
+            graph, UnderDeclared(3), ids=ids, enforce_radius=False, nodes=[1, 7, 7]
+        )
+        assert result.radius_per_node == [3, 3, 3]
+        assert result.declared_radius == 2
+        assert not result.within_declared_radius
+
+    def test_under_declared_radius_enforced_raises_identically(self):
+        graph = random_tree(20, max_degree=3, seed=2)
+        ids = random_ids(graph, seed=2)
+        with pytest.raises(AlgorithmError) as shared:
+            shared_run(graph, UnderDeclared(3), ids=ids, nodes=[7, 1])
+        with pytest.raises(AlgorithmError) as oracle:
+            per_target_run(graph, UnderDeclared(3), ids=ids, nodes=[7, 1])
+        assert str(shared.value) == str(oracle.value)
+        assert "at node 7" in str(shared.value)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_campaign_linial_cell(self, n):
+        # The trees-panel cell: a sample of 8 targets on a 3-tree.
+        graph = random_tree(n, 3, seed=n)
+        result = assert_shared_matches_per_target(
+            graph, LinialColoring(3), ids=random_ids(graph, seed=n),
+            nodes=list(range(0, n, max(1, n // 8))),
+        )
+        assert max(result.radius_per_node) == 47
+
+    @pytest.mark.parametrize("side", [4, 13])
+    def test_campaign_product_coloring_cell(self, side):
+        grid = OrientedGrid([side, side])
+        result = assert_shared_matches_per_target(
+            grid.graph, GridProductColoring(dimensions=2),
+            inputs=grid.orientation_inputs(), ids=prod_ids(grid, seed=side),
+        )
+        assert result.max_radius_used == 7
+
+    @pytest.mark.parametrize("side", [3, 6])
+    def test_campaign_color_class_mis_on_torus(self, side):
+        grid = OrientedGrid([side, side])
+        assert_shared_matches_per_target(
+            grid.graph, ColorClassMIS(LinialColoring(max_degree=4)),
+            ids=random_ids(grid.graph, seed=side), nodes=[0, 1, side, 2 * side + 1],
+        )
+
+
+class StepRecorder(SumOfIdsFlood):
+    """Records every ``(round, id)`` stepped and every id initialized."""
+
+    name = "step-recorder"
+
+    def __init__(self, rounds, lookahead):
+        super().__init__(rounds)
+        self.finalize_lookahead = lookahead
+        self.stepped = []
+        self.initialized = set()
+
+    def initial_state(self, node_id, degree, inputs, bits, n):
+        self.initialized.add(node_id)
+        return super().initial_state(node_id, degree, inputs, bits, n)
+
+    def step(self, round_index, state, neighbor_states, n):
+        self.stepped.append((round_index, state[0]))
+        return super().step(round_index, state, neighbor_states, n)
+
+
+class TestSharedScheduleWork:
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("nodes", [[0, 1], [3, 17, 17, 30], list(range(0, 40, 8))])
+    def test_steps_each_pair_of_the_union_once(self, lookahead, nodes):
+        graph = random_tree(40, max_degree=3, seed=11)
+        ids = random_ids(graph, seed=11)
+        shared = StepRecorder(3, lookahead)
+        shared_run(graph, shared, ids=ids, nodes=nodes)
+        oracle = StepRecorder(3, lookahead)
+        per_target_run(graph, oracle, ids=ids, nodes=nodes)
+        # The shared schedule steps exactly the (node, round) pairs some
+        # per-target replay steps, each once, and initializes no node
+        # outside every target's ball.
+        assert sorted(shared.stepped) == sorted(set(oracle.stepped))
+        assert shared.initialized == oracle.initialized
+
+
+class TestSharedScheduleErrors:
+    """A failing schedule surfaces the per-target loop's first error."""
+
+    @staticmethod
+    def _both(graph, algorithm, expected, **kwargs):
+        errors = []
+        for run in (run_local_algorithm, per_target_run):
+            with pytest.raises(expected) as excinfo:
+                run(graph, algorithm, **kwargs)
+            errors.append(excinfo.value)
+        return errors
+
+    @pytest.mark.parametrize("nodes", [None, [11, 0, 5, 5], [9, 7]])
+    def test_step_key_error_names_the_same_node(self, nodes):
+        graph = path(12)
+        ids = list(range(100, 112))
+        algorithm = StepFailsAt(2, bad_id=106)
+        shared, oracle = self._both(
+            graph, algorithm, NodeExecutionError, ids=ids, nodes=nodes
+        )
+        assert (shared.node, str(shared)) == (oracle.node, str(oracle))
+        assert shared.algorithm == oracle.algorithm == "step-fails-at"
+        assert isinstance(shared.__cause__, KeyError)
+        # The first target whose replay steps node 6 (distance <= 1 at
+        # horizon 2) names the failure.
+        first = [v for v in (range(12) if nodes is None else nodes) if abs(v - 6) <= 1]
+        assert shared.node == first[0]
+
+    def test_shared_schedule_did_raise(self):
+        graph = path(12)
+        algorithm = StepFailsAt(2, bad_id=106)
+        with pytest.raises(KeyError):
+            algorithm.run_targets(graph, range(12), 12, None, list(range(100, 112)), None)
+
+    def test_repro_error_from_step_passes_through_identically(self):
+        graph = cycle(9)
+        algorithm = StepFailsAt(3, bad_id=4, error=AlgorithmError)
+        shared, oracle = self._both(
+            graph, algorithm, AlgorithmError, ids=list(range(9))
+        )
+        assert type(shared) is type(oracle) is AlgorithmError
+        assert str(shared) == str(oracle)
+
+    def test_step_outside_every_ball_is_never_reached(self):
+        # Node 6 lies beyond every sampled target's stepped region, so
+        # neither path steps it and the run succeeds.
+        graph = path(12)
+        algorithm = StepFailsAt(2, bad_id=106)
+        assert_shared_matches_per_target(
+            graph, algorithm, ids=list(range(100, 112)), nodes=[0, 2, 10]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,24 @@ class TestStructuredFailureSurfacing:
         assert "KeyError" in str(error)
         assert isinstance(error.__cause__, KeyError)
 
+    @pytest.mark.parametrize("bad", [-1, 6, 100])
+    def test_target_outside_the_graph_is_a_caller_error(self, bad):
+        from repro.exceptions import NodeExecutionError
+
+        for algorithm in (CrashAtNode(bad_node=None), SumIdsWithinRadius(1)):
+            with pytest.raises(SimulationError) as excinfo:
+                run_local_algorithm(
+                    cycle(6), algorithm, ids=list(range(6)), nodes=[0, bad]
+                )
+            assert not isinstance(excinfo.value, NodeExecutionError)
+            assert f"target node {bad} " in str(excinfo.value)
+
+    def test_duplicate_targets_charge_once_per_occurrence(self):
+        result = run_local_algorithm(
+            cycle(6), SumIdsWithinRadius(2), ids=list(range(6)), nodes=[3, 3, 1, 3]
+        )
+        assert result.radius_per_node == [2, 2, 2, 2]
+
     def test_repro_errors_pass_through_untranslated(self):
         from repro.exceptions import NodeExecutionError
 
