@@ -19,9 +19,6 @@ arrays:
 * label domination (:func:`domination_matrix`) packs configurations into
   base-``n`` integers and answers every ``(strong, weak)`` pair with sorted
   ``np.isin`` membership — exact, no hashing;
-* the maximal-box enumeration behind the ``R̄`` universe
-  (:func:`box_components`) runs over Python-int masks at any node degree,
-  one memoized completion-table fold per box side;
 * the canonical order search of :mod:`repro.roundelim.canonical`
   (:func:`canonical_argmin`) ranks every candidate order at once, packs
   each configuration's sorted ranks into one integer and takes one
@@ -48,14 +45,13 @@ oracle cleanly (counted per-operator as ``bitset_fallbacks``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.exceptions import ProblemDefinitionError
 from repro.lcl.nec import NodeEdgeCheckableLCL
+from repro.roundelim.universe import _completion, _index_tuples, _indices
 from repro.utils import budget as budget_scope
 from repro.utils import cache as operator_cache
 from repro.utils.multiset import Multiset, label_sort_key
@@ -129,29 +125,6 @@ def _canonical_ranks(universe: Sequence[Any]) -> List[int]:
     return ranks
 
 
-def _bit_indices(mask: int) -> Tuple[int, ...]:
-    """The indices of the set bits of ``mask``, ascending."""
-    return tuple(b for b in range(mask.bit_length()) if (mask >> b) & 1)
-
-
-def _completion(
-    configurations: Iterable[Multiset], codec: BitsetUniverse
-) -> Dict[Tuple[int, ...], int]:
-    """``table[rest]`` = mask of the labels that complete ``rest``.
-
-    ``rest`` is a sorted tuple of base-label indices one shorter than the
-    configurations; a label completes it when ``rest`` plus that label is
-    an allowed configuration.  A missing key means no label does.
-    """
-    table: Dict[Tuple[int, ...], int] = {}
-    for configuration in configurations:
-        indices = sorted(codec.index[x] for x in configuration.items)
-        for position in range(len(indices)):
-            rest = tuple(indices[:position] + indices[position + 1 :])
-            table[rest] = table.get(rest, 0) | (1 << indices[position])
-    return table
-
-
 def _selections(
     universe: Sequence[FrozenSet[Any]],
     ranks: List[int],
@@ -174,7 +147,7 @@ def _selections(
     combinations that start there, which sums to the oracle's total.
     """
     m = len(universe)
-    members = [_bit_indices(mask) for mask in masks.tolist()]
+    members = [tuple(_indices(mask)) for mask in masks.tolist()]
     configurations: List[Multiset] = []
 
     def test_last(prefix: Tuple[int, ...], selections: Set[Tuple[int, ...]]) -> None:
@@ -252,7 +225,7 @@ def power_problem(
         count = math.comb(m + degree - 1, degree)
         configurations_tested += count
         budget_scope.charge(count)
-        completion = _completion(configurations, codec)
+        completion = _completion(_index_tuples(configurations, codec.index))
         return _selections(universe, ranks, masks, completion, degree, exists)
 
     edge_configurations = constraint(problem.edge_constraint, 2, exists=node_forall)
@@ -387,117 +360,6 @@ def _accumulate_violations(
                 rows[:, position],
                 not_allowed.reshape(rows.shape[0], n),
             )
-
-
-# ------------------------------------------------------- universe generation
-def box_components(
-    problem: NodeEdgeCheckableLCL, degree: int, max_boxes: int
-) -> Set[FrozenSet[Any]]:
-    """Components of the maximal boxes of ``N^degree``, in mask space.
-
-    Compiled equivalent of the oracle
-    :func:`repro.roundelim.universe._box_components_general`: the same BFS
-    from the singleton boxes of the allowed configurations, one label
-    added to one side per step, with the same ``max_boxes`` cap and error
-    message.  A box is a sorted tuple of Python-int label masks (the
-    dedup key only; just the decoded component set leaves this function,
-    so the key order never reaches a result).
-
-    Instead of one probe per candidate, a *completion table* maps each
-    sorted ``(degree-1)``-tuple of label indices to the mask of labels
-    completing it to an allowed configuration, and the labels that extend
-    side ``p`` of a box are one AND of ``completion[s]`` over ``s`` in the
-    product of the other sides — memoized per ``others`` tuple, since
-    boxes sharing all but one side recur constantly.
-
-    Budget ticks mirror the oracle's per-candidate amounts (the full
-    selection count of every candidate not already seen), summed into one
-    tick per popped box; totals agree on every completed enumeration.
-    Raises :exc:`BitsetUnsupported` (before any tick) past 64 labels.
-    """
-    codec = BitsetUniverse(problem.sigma_out)
-    allowed = problem.node_constraints.get(degree, frozenset())
-    completion = _completion(allowed, codec)
-    seeds = {
-        tuple(sorted(1 << codec.index[x] for x in configuration.items))
-        for configuration in allowed
-    }
-
-    members: Dict[int, Tuple[int, ...]] = {}
-
-    def bits(mask: int) -> Tuple[int, ...]:
-        indices = members.get(mask)
-        if indices is None:
-            indices = members[mask] = _bit_indices(mask)
-        return indices
-
-    extensions: Dict[Tuple[int, ...], int] = {}
-
-    def extension(others: Tuple[int, ...]) -> int:
-        """Labels ``x`` with every ``s + (x,)``, ``s ∈ product(others)``, allowed."""
-        mask = extensions.get(others)
-        if mask is None:
-            mask = codec.full_mask
-            for selection in itertools.product(*(bits(side) for side in others)):
-                mask &= completion.get(tuple(sorted(selection)), 0)
-                if not mask:
-                    break
-            extensions[others] = mask
-        return mask
-
-    seen = set(seeds)
-    frontier = sorted(seeds)
-    maximal: Set[int] = set()
-    labels = len(codec)
-    while frontier:
-        box = frontier.pop()
-        sizes = [len(bits(side)) for side in box]
-        selections = math.prod(sizes)
-        ticks = 0
-        extended = False
-        for position, side in enumerate(box):
-            others = box[:position] + box[position + 1 :]
-            grown = extension(others) & ~side
-            candidate_size = selections + selections // sizes[position]
-            # A label outside `grown` yields a non-box, which is never in
-            # `seen`, so the oracle probes (and ticks) it every time.
-            ticks += (labels - sizes[position] - bin(grown).count("1")) * candidate_size
-            if grown:
-                extended = True
-            while grown:
-                bit = grown & -grown
-                grown ^= bit
-                candidate = tuple(sorted(others + (side | bit,)))
-                if candidate in seen:
-                    continue
-                ticks += candidate_size
-                if len(seen) >= max_boxes:
-                    budget_scope.tick(ticks)
-                    raise ProblemDefinitionError(
-                        f"box enumeration for {problem.name} (degree {degree}) "
-                        f"exceeds {max_boxes} boxes"
-                    )
-                seen.add(candidate)
-                frontier.append(candidate)
-        budget_scope.tick(ticks)
-        if not extended:
-            maximal.update(box)
-    return {codec.decode(mask) for mask in maximal}
-
-
-def pair_neighbor_sets(problem: NodeEdgeCheckableLCL) -> Dict[Any, FrozenSet[Any]]:
-    """``{x: {y : {x, y} allowed at degree 2}}`` via the completion table.
-
-    Replaces the oracle's ``n²`` ``Multiset`` membership probes when
-    building the degree-2 concept lattice; the resulting sets are
-    identical by construction.
-    """
-    codec = BitsetUniverse(problem.sigma_out)
-    completion = _completion(problem.node_constraints.get(2, frozenset()), codec)
-    return {
-        label: codec.decode(completion.get((codec.index[label],), 0))
-        for label in codec.base
-    }
 
 
 def equivalent_drop(matrix: np.ndarray, labels: Sequence[Any]) -> Optional[Any]:

@@ -27,7 +27,11 @@ is marked ``fuzz`` like the conformance harness, so tier-1 runs the
 catalog + accounting tests while nightly jobs widen the population.
 """
 
+import itertools
 import re
+import time
+import traceback
+from collections import Counter
 
 import pytest
 
@@ -55,9 +59,9 @@ CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
 
 #: Degree-4 catalog problems whose differential walk takes more than ~4 s
 #: on one core; they run with the fuzz sweep (``-m fuzz``).  ``5-coloring``
-#: takes ~28 s on 2 cores: ~22 s in the oracle leg (the pure-Python
-#: ``R`` / ``R̄`` loops and the oracle order search over its 31-label ``R``)
-#: and ~6 s in the kernel leg, mostly ``_box_components_degree_two``.
+#: spends ~22 s on 2 cores in the oracle leg alone (the pure-Python
+#: ``R`` / ``R̄`` loops and the oracle order search over its 31-label
+#: ``R``).
 SLOW_DEGREE_4 = {"5-coloring"}
 
 #: The degree-3 catalog under its own names, then the degree-4 catalog.
@@ -73,10 +77,13 @@ CATALOG_CASES = [
     for problem in standard_catalog(max_degree=4)
 ]
 
-#: Universe cap for the harness: every live catalog universe is ≤ 31
-#: labels, so this changes no outcome — it only makes the (deliberate)
-#: blow-up proofs raise after 512 boxes instead of 4096.
-MAX_UNIVERSE = 512
+#: Universe cap for the harness.  Every catalog universe these walks
+#: compare is at most 31 labels, except the ``R̄`` universes that only the
+#: maximal-box enumeration reaches (165 labels for ``4-coloring``, 127
+#: for ``7-edge-coloring@4``), over which the oracle leg's pure-Python
+#: loops take minutes; 64 keeps the former live and makes the latter
+#: blow-up markers, as they were when box enumeration tripped first.
+MAX_UNIVERSE = 64
 
 #: Fuzz population size (``REPRO_BITSET_DIFF_COUNT``, default 100).
 DIFF_COUNT = int(env.get_int("REPRO_BITSET_DIFF_COUNT") or 100)
@@ -371,110 +378,203 @@ class TestEngineAccounting:
 #: Box cap for the universe-layer differential (the production default).
 BOX_CAP = 4096
 
-#: ``R(p)`` cases that take more than ~4 s on one core: oracle cap trips
-#: and long oracle BFS runs, where the pure-Python BFS probes thousands of
-#: boxes.  Their cost is the oracle box BFS, not the ``R`` step.  They run
-#: with the fuzz sweep (``-m fuzz``).
+#: Cap for the BFS oracle, which counts search states rather than maximal
+#: boxes: where it would trip at ``BOX_CAP`` it gets this much room.
+ORACLE_CAP = 10**7
+
+#: ``(max_degree, stage, name, degree)`` cases whose BFS oracle takes more
+#: than ~1 s (seconds measured on a 2-core box in comments): it visits
+#: every box, with one ``Multiset`` probe per selection of each candidate.
+#: Tier-1 checks the enumerator's maximal boxes against the definition
+#: there; ``test_deep_cases_match_oracle`` runs the oracle with the fuzz
+#: sweep (``-m fuzz``).
 DEEP_BOX_CASES = {
-    (3, "4-coloring", 3),
-    (4, "5-coloring", 3),
-    (4, "7-edge-coloring", 4),
-    (4, "weak-2-coloring", 4),
-    (4, "echo", 4),
+    (3, "R", "echo", 3),  # 7.5 s
+    (4, "R", "echo", 3),  # 8.1 s
+    (3, "R", "weak-2-coloring", 3),  # 26 s
+    (4, "R", "weak-2-coloring", 3),  # 16 s
+    (3, "sR", "weak-2-coloring", 3),  # 1-2 s
+    (4, "sR", "weak-2-coloring", 3),  # 1-2 s
+    (4, "sR", "weak-2-coloring", 4),  # 40 s
+    (4, "R", "7-edge-coloring", 3),  # 8.9 s
+    (4, "R", "7-edge-coloring", 4),  # 28 s
+    (3, "sR", "4-coloring", 2),  # 115 s
 }
+
+#: Cases the BFS oracle does not finish in 150 s: tier-1 checks them
+#: against the definition only.
+BEYOND_ORACLE = {
+    (3, "R", "4-coloring", 2),
+    (3, "R", "4-coloring", 3),
+    (3, "sR", "4-coloring", 3),
+    (4, "R", "echo", 4),
+    (4, "R", "weak-2-coloring", 4),
+}
+
+#: ``R`` and ``simplify(R(·))`` of ``5-coloring@4`` (31 and 30 labels):
+#: the enumerator trips on closed sets; the oracle must trip too at
+#: ``BOX_CAP``, which takes it 5-19 s below degree 4 (``-m fuzz`` there).
+TRIPPING_CASES = {
+    (4, stage, "5-coloring", degree) for stage in ("R", "sR") for degree in (2, 3, 4)
+}
+SLOW_TRIPS = {key for key in TRIPPING_CASES if key[3] < 4}
+
+_STAGES = {"p": "", "R": "R-", "sR": "sR-"}
 
 
 def _box_cases():
-    """``p`` and ``R(p)`` of ``standard_catalog(3|4)`` at every degree >= 3."""
+    """``p``, ``R(p)`` and ``simplify(R(p))`` of ``standard_catalog(3|4)``
+    at every degree >= 2."""
     cases = []
     for max_degree in (3, 4):
         for problem in standard_catalog(max_degree=max_degree):
-            for degree in sorted(problem.node_constraints):
-                if degree < 3:
-                    continue
-                for lifted in (False, True):
-                    deep = lifted and (max_degree, problem.name, degree) in DEEP_BOX_CASES
+            for stage, prefix in _STAGES.items():
+                for degree in sorted(problem.node_constraints):
+                    if degree < 2:
+                        continue
+                    key = (max_degree, stage, problem.name, degree)
                     cases.append(
                         pytest.param(
-                            max_degree,
-                            problem.name,
-                            lifted,
-                            degree,
-                            id=f"cat{max_degree}-{'R-' if lifted else ''}{problem.name}-deg{degree}",
-                            marks=[pytest.mark.fuzz] if deep else [],
+                            *key,
+                            id=f"cat{max_degree}-{prefix}{problem.name}-deg{degree}",
+                            marks=[pytest.mark.fuzz] if key in SLOW_TRIPS else [],
                         )
                     )
     return cases
 
 
-_lifted_problems = {}
+_staged_problems = {}
 
 
-def _box_problem(max_degree, name, lifted):
-    problem = {p.name: p for p in standard_catalog(max_degree=max_degree)}[name]
-    if not lifted:
-        return problem
-    key = (max_degree, name)
-    if key not in _lifted_problems:
-        _lifted_problems[key] = R(problem, use_cache=False)
-    return _lifted_problems[key]
+def _box_problem(max_degree, stage, name):
+    key = (max_degree, stage, name)
+    if key not in _staged_problems:
+        if stage == "p":
+            problem = {p.name: p for p in standard_catalog(max_degree=max_degree)}[name]
+        elif stage == "R":
+            problem = R(_box_problem(max_degree, "p", name), use_cache=False)
+        else:
+            problem = simplify(
+                _box_problem(max_degree, "R", name), domination=True, use_cache=False
+            )
+        _staged_problems[key] = problem
+    return _staged_problems[key]
 
 
-def _box_outcome(enumerate_boxes, problem, degree):
-    meter = TickMeter()
-    with meter:
-        try:
-            return enumerate_boxes(problem, degree, BOX_CAP), meter.ticked
-        except ProblemDefinitionError as error:
-            # Where a cap trip happens depends on BFS order, so the ticks
-            # spent before it may differ; only the message must agree.
-            return str(error), None
+def _box_outcome(enumerate_boxes, problem, degree, cap=BOX_CAP):
+    try:
+        return enumerate_boxes(problem, degree, cap)
+    except ProblemDefinitionError as error:
+        return str(error)
+
+
+def _check_boxes_by_definition(problem, degree):
+    """The enumerator's maximal boxes against the definition of one."""
+    from repro.roundelim.universe import maximal_boxes
+    from repro.utils.multiset import Multiset
+
+    allowed = problem.node_constraints.get(degree, frozenset())
+    boxes = maximal_boxes(problem, degree, BOX_CAP)
+    assert len({frozenset(Counter(box).items()) for box in boxes}) == len(boxes)
+    covered = set()
+    for box in boxes:
+        selections = {Multiset(s) for s in itertools.product(*box)}
+        assert selections <= allowed
+        covered |= selections
+        for position, side in enumerate(box):
+            others = box[:position] + box[position + 1 :]
+            for label in problem.sigma_out - side:
+                assert not all(
+                    Multiset(s + (label,)) in allowed for s in itertools.product(*others)
+                ), (box, position, label)
+    assert covered == allowed
 
 
 class TestBoxComponentsDifferential:
-    """The mask-space ``box_components`` kernel against its oracle."""
+    """The maximal-box enumerator (``universe.box_components``) against
+    the BFS oracle ``_box_components_general``."""
 
-    @pytest.mark.parametrize(("max_degree", "name", "lifted", "degree"), _box_cases())
-    def test_kernel_matches_oracle(self, max_degree, name, lifted, degree):
-        from repro.roundelim import bitset
-        from repro.roundelim.universe import _box_components_general
+    @pytest.mark.parametrize(("max_degree", "stage", "name", "degree"), _box_cases())
+    def test_kernel_matches_oracle(self, max_degree, stage, name, degree):
+        from repro.roundelim.universe import _box_components_general, box_components
 
-        problem = _box_problem(max_degree, name, lifted)
-        oracle = _box_outcome(_box_components_general, problem, degree)
-        kernel = _box_outcome(bitset.box_components, problem, degree)
-        assert kernel == oracle
+        key = (max_degree, stage, name, degree)
+        problem = _box_problem(max_degree, stage, name)
+        components = _box_outcome(box_components, problem, degree)
+        if key in TRIPPING_CASES:
+            assert re.search(r"exceeds \d+ (closed sets|maximal boxes)$", components)
+            assert "exceeds" in _box_outcome(_box_components_general, problem, degree)
+        elif key in DEEP_BOX_CASES | BEYOND_ORACLE:
+            _check_boxes_by_definition(problem, degree)
+        else:
+            oracle = _box_outcome(_box_components_general, problem, degree, ORACLE_CAP)
+            assert components == oracle
 
-    def test_dispatch_follows_the_knob(self, monkeypatch):
-        from repro.roundelim import bitset, universe
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize(
+        ("max_degree", "stage", "name", "degree"),
+        [pytest.param(*key, id="-".join(map(str, key))) for key in sorted(DEEP_BOX_CASES)],
+    )
+    def test_deep_cases_match_oracle(self, max_degree, stage, name, degree):
+        from repro.roundelim.universe import _box_components_general, box_components
 
-        problem = dict(CATALOG_PROBLEMS)["mis"]
-        calls = []
-        kernel = bitset.box_components
+        problem = _box_problem(max_degree, stage, name)
+        oracle = _box_outcome(_box_components_general, problem, degree, ORACLE_CAP)
+        assert _box_outcome(box_components, problem, degree) == oracle
 
-        def spy(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(bitset, "box_components", spy)
-        configure_bitset(enabled=False)
-        oracle = universe.box_components(problem, 3, BOX_CAP)
-        assert calls == []
-        configure_bitset(enabled=True)
-        assert universe.box_components(problem, 3, BOX_CAP) == oracle
-        assert len(calls) == 1
-
-    def test_wide_alphabet_falls_back_to_oracle(self):
-        from repro.roundelim import bitset
+    def test_both_legs_agree(self):
+        # No REPRO_BITSET dispatch is left in universe generation, so both
+        # legs give equal components and equal trip messages.
         from repro.roundelim.universe import box_components
 
-        # 70 values exceed the 64-bit word; every maximal box of
-        # consensus is one value repeated, so the components are singletons.
+        cases = [
+            (_box_problem(3, "p", "mis"), 3, BOX_CAP),
+            (_box_problem(3, "R", "weak-2-coloring"), 3, BOX_CAP),
+            (_box_problem(3, "R", "4-coloring"), 2, BOX_CAP),
+            (_box_problem(3, "R", "4-coloring"), 3, 64),
+        ]
+        outcomes = {}
+        for enabled in (False, True):
+            configure_bitset(enabled=enabled)
+            outcomes[enabled] = [
+                _box_outcome(box_components, problem, degree, cap)
+                for problem, degree, cap in cases
+            ]
+        assert outcomes[True] == outcomes[False]
+        assert "exceeds 64" in outcomes[True][-1]
+
+    def test_wide_alphabet_needs_no_word(self):
+        from repro.roundelim.universe import box_components
+
+        # 70 values exceed a 64-bit word, which the enumerator does not
+        # use; every maximal box of consensus is one value repeated, so
+        # the components are singletons on both legs.
         wide = catalog.consensus(3, values=tuple(f"v{i}" for i in range(70)))
-        with pytest.raises(bitset.BitsetUnsupported):
-            bitset.box_components(wide, 3, BOX_CAP)
-        configure_bitset(enabled=True)
         expected = {frozenset({value}) for value in wide.sigma_out}
-        assert box_components(wide, 3, BOX_CAP) == expected
+        for enabled in (False, True):
+            configure_bitset(enabled=enabled)
+            assert box_components(wide, 3, BOX_CAP) == expected
+
+    @pytest.mark.parametrize(
+        ("operator", "name", "enumerator"),
+        [("R_bar", "4-coloring", "maximal_boxes"), ("R", "5-edge-coloring", "_closed_sets")],
+    )
+    def test_expired_deadline_raises_inside_the_enumerator(self, operator, name, enumerator):
+        # R̄ of R(4-coloring) enumerates maximal boxes; R of
+        # R̄(simplify(R(5-edge-coloring))) (31 labels) a closure lattice of
+        # thousands of sets.  Hashing first keeps the trip out of the
+        # canonical order search (which polls the budget too).
+        problem = _box_problem(3, "R", name)
+        if operator == "R":
+            problem = R_bar(_box_problem(3, "sR", name), use_cache=False)
+        canonical_hash(problem)
+        with Budget(deadline=0.01):
+            time.sleep(0.03)
+            with pytest.raises(BudgetExceededError) as outcome:
+                getattr(ops, operator)(problem)
+        frames = [frame.name for frame in traceback.extract_tb(outcome.tb)]
+        assert enumerator in frames
+        assert len(operator_cache.get_cache()) == 0
 
 
 class TestNonemptySubsetsMemo:
