@@ -344,7 +344,8 @@ def maximal_boxes(
     enumerated by :func:`_closed_sets`) and ``(B₂…B_d)`` is a maximal box
     of the ``(d-1)``-ary relation ``I(A)``; conversely such a pair is a
     maximal box exactly when ``ext(B₂ × … × B_d) = A``.  Degree 1 is the
-    base case, and degree 2 is the concept lattice.  Sides are kept in
+    base case, and degree 2 is the concept lattice; an ``I(A)`` that is a
+    box (always at degree 2) needs no recursion.  Sides are kept in
     descending mask order, so each box is found once: the boxes of
     ``I(A)`` are searched only below ``A``, which also prunes their
     enumeration (adding a label never makes a mask smaller).
@@ -402,11 +403,20 @@ def maximal_boxes(
         for rest, mask in completion.items() if arity > 2 else ():
             for position, x in enumerate(rest):
                 slices.setdefault(x, {})[rest[:position] + rest[position + 1 :]] = mask
+        numbered = list(completion)
         boxes: List[Tuple[int, ...]] = []
         for side in sorted(extents):
+            intent = intents[side]
+            # An I(side) that is itself a box (the co-side at arity 2, one
+            # tuple's singletons otherwise) is its own only maximal box, and
+            # maximal with side: its product is I(side), whose ext is the
+            # closed side.  Recursing there instead costs 1.5-2.4x on small
+            # and degree-2 lattices.
             if arity == 2:
-                mate = intents[side]  # the one maximal box of I(side)
-                rests = [(mate,)] if mate <= side else []
+                rests = [(intent,)] if intent <= side else []
+            elif not intent & (intent - 1):
+                rest = tuple(1 << i for i in reversed(numbered[intent.bit_length() - 1]))
+                rests = [rest] if rest[0] <= side else []
             else:
                 # The completion table of I(side): u completes with the
                 # labels y that complete u + (x,) for every x in side.

@@ -28,6 +28,7 @@ catalog + accounting tests while nightly jobs widen the population.
 """
 
 import itertools
+import math
 import re
 import time
 import traceback
@@ -44,6 +45,7 @@ from repro.roundelim import ProblemSequence
 from repro.roundelim import ops
 from repro.roundelim.canonical import canonical_hash, clear_canonical_memo
 from repro.roundelim.gap import speedup
+from repro.roundelim.universe import maximal_boxes
 from repro.roundelim.ops import (
     R,
     R_bar,
@@ -53,6 +55,7 @@ from repro.roundelim.ops import (
 from repro.utils import cache as operator_cache
 from repro.utils import env
 from repro.utils.budget import Budget
+from repro.utils.multiset import Multiset, label_sort_key
 from repro.verify.certificate import body_checksum
 
 CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
@@ -64,26 +67,47 @@ CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
 #: ``R``).
 SLOW_DEGREE_4 = {"5-coloring"}
 
+#: Universe cap for the harness: it only makes the (deliberate) blow-up
+#: proofs raise after 512 closed sets or maximal boxes instead of 4096.
+MAX_UNIVERSE = 512
+
+#: Walks whose oracle leg takes more than a minute at ``MAX_UNIVERSE``:
+#: the maximal-box enumeration reaches their ``R̄`` universes (165 labels
+#: for ``4-coloring``, 127 for ``7-edge-coloring@4``), and the oracle's
+#: pure-Python power-problem loops run over them.  Tier-1 walks them at
+#: ``SLOW_WALK_CAP``, which ends in the ``R̄`` blow-up marker, as the
+#: walks did when box enumeration tripped first; the full walk runs with
+#: the fuzz sweep (``-m fuzz``) under the ``-full`` id.
+SLOW_WALKS = {"4-coloring", "7-edge-coloring@4"}
+SLOW_WALK_CAP = 64
+
+
+def _catalog_params(name, problem, case_id, marks):
+    if name not in SLOW_WALKS:
+        return [pytest.param(name, problem, MAX_UNIVERSE, id=case_id, marks=marks)]
+    return [
+        pytest.param(name, problem, SLOW_WALK_CAP, id=case_id, marks=marks),
+        pytest.param(
+            name, problem, MAX_UNIVERSE, id=f"{case_id}-full", marks=[pytest.mark.fuzz]
+        ),
+    ]
+
+
 #: The degree-3 catalog under its own names, then the degree-4 catalog.
 CATALOG_CASES = [
-    pytest.param(name, problem, id=name) for name, problem in CATALOG_PROBLEMS
+    param
+    for name, problem in CATALOG_PROBLEMS
+    for param in _catalog_params(name, problem, name, [])
 ] + [
-    pytest.param(
+    param
+    for problem in standard_catalog(max_degree=4)
+    for param in _catalog_params(
         f"{problem.name}@4",
         problem,
-        id=f"cat4-{problem.name}",
-        marks=[pytest.mark.fuzz] if problem.name in SLOW_DEGREE_4 else [],
+        f"cat4-{problem.name}",
+        [pytest.mark.fuzz] if problem.name in SLOW_DEGREE_4 else [],
     )
-    for problem in standard_catalog(max_degree=4)
 ]
-
-#: Universe cap for the harness.  Every catalog universe these walks
-#: compare is at most 31 labels, except the ``R̄`` universes that only the
-#: maximal-box enumeration reaches (165 labels for ``4-coloring``, 127
-#: for ``7-edge-coloring@4``), over which the oracle leg's pure-Python
-#: loops take minutes; 64 keeps the former live and makes the latter
-#: blow-up markers, as they were when box enumeration tripped first.
-MAX_UNIVERSE = 64
 
 #: Fuzz population size (``REPRO_BITSET_DIFF_COUNT``, default 100).
 DIFF_COUNT = int(env.get_int("REPRO_BITSET_DIFF_COUNT") or 100)
@@ -117,7 +141,7 @@ class TickMeter(Budget):
         super().tick(iterations)
 
 
-def engine_trace(problem, enabled):
+def engine_trace(problem, enabled, max_universe=MAX_UNIVERSE):
     """Everything one backend produces for ``problem``, hashes included.
 
     Alphabet blow-ups are legitimate outcomes (they depend only on the
@@ -128,14 +152,14 @@ def engine_trace(problem, enabled):
     clear_canonical_memo()
     trace = []
     try:
-        r = R(problem, max_universe=MAX_UNIVERSE, use_cache=False)
+        r = R(problem, max_universe=max_universe, use_cache=False)
     except ProblemDefinitionError:
         return trace + ["R blow-up"]
     trace += ["R", r, canonical_hash(r)]
     simplified = simplify(r, domination=True, use_cache=False)
     trace += ["simplify", simplified, canonical_hash(simplified)]
     try:
-        rbar = R_bar(simplified, max_universe=MAX_UNIVERSE, use_cache=False)
+        rbar = R_bar(simplified, max_universe=max_universe, use_cache=False)
     except ProblemDefinitionError:
         return trace + ["Rbar blow-up"]
     trace += ["Rbar", rbar, canonical_hash(rbar)]
@@ -158,7 +182,7 @@ def _strip_wall_clock(value):
     return value
 
 
-def pipeline_trace(problem, enabled, seed=0):
+def pipeline_trace(problem, enabled, seed=0, max_universe=MAX_UNIVERSE):
     """Gap-pipeline verdict + certificate checksum under one backend.
 
     The operator cache is cleared so both backends run *cold* — a warm
@@ -171,7 +195,7 @@ def pipeline_trace(problem, enabled, seed=0):
     result = speedup(
         problem,
         max_steps=2,
-        max_universe=MAX_UNIVERSE,
+        max_universe=max_universe,
         budget=Budget(max_configs=5_000),
     )
     certificate = result.certify(trials=2, seed=seed)
@@ -184,16 +208,18 @@ def pipeline_trace(problem, enabled, seed=0):
 
 
 class TestCatalogDifferential:
-    @pytest.mark.parametrize("name, problem", CATALOG_CASES)
-    def test_operator_walks_agree(self, name, problem):
-        oracle = engine_trace(problem, enabled=False)
-        bitset = engine_trace(problem, enabled=True)
+    @pytest.mark.parametrize("name, problem, cap", CATALOG_CASES)
+    def test_operator_walks_agree(self, name, problem, cap):
+        oracle = engine_trace(problem, enabled=False, max_universe=cap)
+        bitset = engine_trace(problem, enabled=True, max_universe=cap)
         assert bitset == oracle, f"{name}: backends diverged"
+        if cap == SLOW_WALK_CAP:
+            assert oracle[-1] == "Rbar blow-up"
 
-    @pytest.mark.parametrize("name, problem", CATALOG_CASES)
-    def test_verdicts_and_certificates_agree(self, name, problem):
-        oracle = pipeline_trace(problem, enabled=False)
-        bitset = pipeline_trace(problem, enabled=True)
+    @pytest.mark.parametrize("name, problem, cap", CATALOG_CASES)
+    def test_verdicts_and_certificates_agree(self, name, problem, cap):
+        oracle = pipeline_trace(problem, enabled=False, max_universe=cap)
+        bitset = pipeline_trace(problem, enabled=True, max_universe=cap)
         assert bitset == oracle, f"{name}: verdict or certificate bytes diverged"
 
     def test_multi_step_sequences_agree(self):
@@ -385,9 +411,9 @@ ORACLE_CAP = 10**7
 #: ``(max_degree, stage, name, degree)`` cases whose BFS oracle takes more
 #: than ~1 s (seconds measured on a 2-core box in comments): it visits
 #: every box, with one ``Multiset`` probe per selection of each candidate.
-#: Tier-1 checks the enumerator's maximal boxes against the definition
-#: there; ``test_deep_cases_match_oracle`` runs the oracle with the fuzz
-#: sweep (``-m fuzz``).
+#: Tier-1 checks the enumerator's maximal boxes with
+#: :func:`_check_maximal_boxes` there; ``test_deep_cases_match_oracle``
+#: runs the oracle with the fuzz sweep (``-m fuzz``).
 DEEP_BOX_CASES = {
     (3, "R", "echo", 3),  # 7.5 s
     (4, "R", "echo", 3),  # 8.1 s
@@ -401,8 +427,8 @@ DEEP_BOX_CASES = {
     (3, "sR", "4-coloring", 2),  # 115 s
 }
 
-#: Cases the BFS oracle does not finish in 150 s: tier-1 checks them
-#: against the definition only.
+#: Cases the BFS oracle does not finish in 150 s: tier-1 checks them with
+#: :func:`_check_maximal_boxes` only.
 BEYOND_ORACLE = {
     (3, "R", "4-coloring", 2),
     (3, "R", "4-coloring", 3),
@@ -411,13 +437,26 @@ BEYOND_ORACLE = {
     (4, "R", "weak-2-coloring", 4),
 }
 
+#: Most candidate boxes :func:`_maximal_boxes_by_search` may try (about
+#: 0.3 s at 8 labels and degree 3).  The deep cases that tier-1 compared
+#: with the oracle before the enumerator (the degree-3 ``R`` stages of
+#: ``echo``, ``weak-2-coloring`` and ``7-edge-coloring@4``) are below it.
+#: Above it (``R`` and ``simplify(R)`` of ``4-coloring`` at degree 3,
+#: ``weak-2-coloring@4`` at degree 4, ``R`` of ``echo@4`` and
+#: ``7-edge-coloring@4`` at degree 4), the deep and beyond-oracle cases are
+#: checked against the definition only, which cannot see a lost box whose
+#: configurations other boxes cover.
+SEARCH_LIMIT = 2**15
+
 #: ``R`` and ``simplify(R(·))`` of ``5-coloring@4`` (31 and 30 labels):
 #: the enumerator trips on closed sets; the oracle must trip too at
-#: ``BOX_CAP``, which takes it 5-19 s below degree 4 (``-m fuzz`` there).
+#: ``BOX_CAP``.  That takes the oracle 24-77 s below degree 4 and 2 s for
+#: ``simplify(R)`` at degree 4 (``-m fuzz`` there); tier-1 keeps ``R`` at
+#: degree 4 (under 1 s), the one it compared before the enumerator.
 TRIPPING_CASES = {
     (4, stage, "5-coloring", degree) for stage in ("R", "sR") for degree in (2, 3, 4)
 }
-SLOW_TRIPS = {key for key in TRIPPING_CASES if key[3] < 4}
+SLOW_TRIPS = TRIPPING_CASES - {(4, "R", "5-coloring", 4)}
 
 _STAGES = {"p": "", "R": "R-", "sR": "sR-"}
 
@@ -468,14 +507,66 @@ def _box_outcome(enumerate_boxes, problem, degree, cap=BOX_CAP):
         return str(error)
 
 
-def _check_boxes_by_definition(problem, degree):
-    """The enumerator's maximal boxes against the definition of one."""
-    from repro.roundelim.universe import maximal_boxes
-    from repro.utils.multiset import Multiset
+def _maximal_boxes_by_search(problem, degree):
+    """Every maximal box of ``N^degree``, as sorted tuples of label masks,
+    straight from the definition.
 
-    allowed = problem.node_constraints.get(degree, frozenset())
+    A maximal box is fixed by any ``degree - 1`` of its sides: the last
+    side is every label completing all their selections.  So trying every
+    multiset of ``degree - 1`` non-empty label sets, completing it, and
+    keeping the boxes whose every side is also the completion of the
+    others finds each maximal box.
+    """
+    labels = sorted(problem.sigma_out, key=label_sort_key)
+    index = {label: i for i, label in enumerate(labels)}
+    full = (1 << len(labels)) - 1
+    completes = {}
+    for configuration in problem.node_constraints.get(degree, frozenset()):
+        items = sorted(index[x] for x in configuration.items)
+        for position in range(degree):
+            rest = tuple(items[:position] + items[position + 1 :])
+            completes[rest] = completes.get(rest, 0) | (1 << items[position])
+    members = [[i for i in range(len(labels)) if mask >> i & 1] for mask in range(full + 1)]
+
+    def completion(sides):
+        common = full
+        for selection in itertools.product(*(members[side] for side in sides)):
+            common &= completes.get(tuple(sorted(selection)), 0)
+        return common
+
+    found = set()
+    for sides in itertools.combinations_with_replacement(range(1, full + 1), degree - 1):
+        box = sides + (completion(sides),)
+        if box[-1] and all(
+            box[i] == completion(box[:i] + box[i + 1 :]) for i in range(degree - 1)
+        ):
+            found.add(tuple(sorted(box)))
+    return found
+
+
+def _searchable(problem, degree):
+    label_sets = 2 ** len(problem.sigma_out) - 1
+    return math.comb(label_sets + degree - 2, degree - 1) <= SEARCH_LIMIT
+
+
+def _check_maximal_boxes(problem, degree, by_definition):
+    """The enumerator's maximal boxes: none repeats, and they are
+    :func:`_maximal_boxes_by_search` where that is cheap, else (when
+    ``by_definition``) each is a maximal box and together they cover every
+    allowed configuration."""
     boxes = maximal_boxes(problem, degree, BOX_CAP)
     assert len({frozenset(Counter(box).items()) for box in boxes}) == len(boxes)
+    if _searchable(problem, degree):
+        labels = sorted(problem.sigma_out, key=label_sort_key)
+        index = {label: i for i, label in enumerate(labels)}
+        as_masks = {
+            tuple(sorted(sum(1 << index[x] for x in side) for side in box)) for box in boxes
+        }
+        assert as_masks == _maximal_boxes_by_search(problem, degree)
+        return
+    if not by_definition:
+        return
+    allowed = problem.node_constraints.get(degree, frozenset())
     covered = set()
     for box in boxes:
         selections = {Multiset(s) for s in itertools.product(*box)}
@@ -504,9 +595,10 @@ class TestBoxComponentsDifferential:
         if key in TRIPPING_CASES:
             assert re.search(r"exceeds \d+ (closed sets|maximal boxes)$", components)
             assert "exceeds" in _box_outcome(_box_components_general, problem, degree)
-        elif key in DEEP_BOX_CASES | BEYOND_ORACLE:
-            _check_boxes_by_definition(problem, degree)
-        else:
+            return
+        slow_oracle = key in DEEP_BOX_CASES | BEYOND_ORACLE
+        _check_maximal_boxes(problem, degree, by_definition=slow_oracle)
+        if not slow_oracle:
             oracle = _box_outcome(_box_components_general, problem, degree, ORACLE_CAP)
             assert components == oracle
 
