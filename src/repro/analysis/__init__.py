@@ -1,8 +1,8 @@
 """Static analysis for the gap pipeline: ``repro-lint``.
 
 The pipeline's headline guarantees — relabeling-invariant canonical
-hashes, bit-identical checkpoint resume, engine-free and seed-replayable
-certificates — rest on invariants that used to be enforced only
+hashes, bit-identical resume from the operator cache, engine-free and
+seed-replayable certificates — rest on invariants that used to be enforced only
 dynamically, after the fact, by fresh-interpreter and replay test
 suites.  This package proves them at lint time, on every file:
 

@@ -25,7 +25,7 @@ Everything here is data, not behavior:
 
 ``tests/test_lint_contracts.py`` asserts the tables stay in sync with
 the real tree: every public serialization entrypoint of the
-canonical/codec/checkpoint/journal/encode modules must be classified as
+canonical/codec/journal/encode modules must be classified as
 a sink by :func:`is_sink_name`.
 """
 
@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Tuple
 #: public functions produce bytes/structures that must be identical
 #: across processes and label spellings.
 ORDERED_OUTPUT_STEMS = frozenset(
-    {"bitset", "canonical", "codec", "checkpoint", "encode", "journal"}
+    {"bitset", "canonical", "codec", "encode", "journal"}
 )
 
 #: Any module inside a package with one of these segments is an

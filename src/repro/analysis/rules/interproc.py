@@ -6,7 +6,7 @@ sees ``random.random()`` in library code.  What they provably cannot see
 is the cross-call shape — a helper three modules away returns an
 unseeded sample, the value rides through two plumbing functions, and
 only then lands in ``encode_problem`` / ``journal.append`` /
-``checkpoint.save``.  Every hop is individually innocent; the *flow* is
+``encode_result``.  Every hop is individually innocent; the *flow* is
 the bug, and it is exactly the class the fresh-interpreter replay suites
 keep re-discovering dynamically, one incident at a time.
 

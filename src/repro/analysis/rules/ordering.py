@@ -1,8 +1,8 @@
 """REP002 — no unordered iteration feeding canonical/serialized output.
 
 Canonical hashing (:mod:`repro.roundelim.canonical`), the label codec
-(:mod:`repro.lcl.codec`), checkpoint snapshots
-(:mod:`repro.roundelim.checkpoint`), and certificate envelopes
+(:mod:`repro.lcl.codec`), campaign journals
+(:mod:`repro.supervisor.journal`), and certificate envelopes
 (:mod:`repro.verify`) all promise byte-identical output for equal
 inputs, across processes and label spellings.  Iterating a ``set`` /
 ``frozenset`` or a dict view in those modules threads *insertion or hash

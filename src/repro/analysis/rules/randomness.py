@@ -1,9 +1,9 @@
 """REP001 — no unseeded or global-state randomness in library code.
 
 Every guarantee in this pipeline — relabeling-invariant canonical
-hashes, bit-identical checkpoint resume, seed-replayable certificate
-transcripts — dies the moment any code path consumes OS entropy or the
-shared module-level generator.  Randomized algorithms must draw from an
+hashes, bit-identical resume from the operator cache, seed-replayable
+certificate transcripts — dies the moment any code path consumes OS
+entropy or the shared module-level generator.  Randomized algorithms must draw from an
 injected, explicitly seeded generator (``random.Random(seed)`` or
 :class:`repro.utils.rng.SplittableRNG`).
 

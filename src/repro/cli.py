@@ -25,11 +25,12 @@ in the :mod:`repro.lcl.fmt` text format.
 
 Robustness flags: ``--timeout`` / ``--max-configs`` attach a cooperative
 :class:`repro.utils.budget.Budget` (exhaustion yields a structured
-``UNKNOWN(>= step k)`` instead of a hang), ``--checkpoint`` /
-``--resume`` persist and restore sequence walks, and the global
-``--verbose`` / ``--quiet`` flags control the ``repro`` logger, which is
-where budget hits, retries, pool fallbacks, and checkpoint writes are
-reported.
+``UNKNOWN(>= step k)`` instead of a hang), ``--checkpoint DIR`` puts
+the operator cache's disk layer at ``DIR`` (unbounded) so a sequence
+walk persists as it runs, ``--resume`` restores a walk's completed steps
+from that cache, and the global ``--verbose`` / ``--quiet`` flags
+control the ``repro`` logger, which is where budget hits, retries, pool
+fallbacks, and resumes are reported.
 
 The measured ``landscape`` panels (``trees`` / ``grids`` / ``volume``)
 run as supervised campaigns (:mod:`repro.supervisor`): ``--isolate``
@@ -38,8 +39,8 @@ selects whether cells run in a persistent worker process or inline,
 ``--cell-mem-mb`` / ``--cell-retries`` bound each cell, and
 ``--journal`` / ``--resume`` persist completed cells to an append-only
 checksummed journal and restore them bit-identically after a crash or
-``SIGINT`` (every verb exits 130 on interrupt, with all journaled and
-checkpointed progress preserved).
+``SIGINT`` (every verb exits 130 on interrupt, with all journaled
+progress and disk-cached operator results preserved).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def configure_logging(verbosity: int) -> None:
     """Map ``-q``/``-v`` counts onto the ``repro`` logger level.
 
     ``0`` → WARNING (budget hits, fallbacks, corrupt caches are always
-    visible), ``1`` → INFO (checkpoint writes, resumes, evictions),
+    visible), ``1`` → INFO (resumes, evictions),
     ``2+`` → DEBUG; negative (``--quiet``) → ERROR.
     """
     if verbosity < 0:
@@ -126,6 +127,17 @@ def resolve_problem(spec: str) -> NodeEdgeCheckableLCL:
         raise ReproError(f"unknown problem {name!r}; known: {known}")
     builder, _ = CATALOG[name]
     return builder(int(parameter) if parameter else None)
+
+
+def use_checkpoint_dir(args: argparse.Namespace) -> None:
+    """``--checkpoint DIR``: the operator cache on, with its disk layer at
+    ``DIR`` and no byte bound, so every operator result of the walk persists."""
+    if args.checkpoint is not None:
+        from repro.utils import cache as operator_cache
+
+        operator_cache.configure(
+            enabled=True, disk_dir=args.checkpoint, max_disk_bytes=None
+        )
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -230,7 +242,13 @@ def cmd_roundelim(args: argparse.Namespace) -> int:
     from repro.utils import cache as operator_cache
 
     if args.no_cache:
+        if args.checkpoint is not None:
+            raise ReproError(
+                "--checkpoint persists the walk in the operator cache; "
+                "it cannot be combined with --no-cache"
+            )
         operator_cache.configure(enabled=False)
+    use_checkpoint_dir(args)
     operator_cache.reset_stats()
     problem = resolve_problem(args.problem)
     sequence = ProblemSequence(
@@ -238,12 +256,11 @@ def cmd_roundelim(args: argparse.Namespace) -> int:
         use_domination=not args.no_domination,
         max_universe=args.max_universe,
         use_cache=not args.no_cache,
-        checkpoint=args.checkpoint,
     )
     print(f"problem: {problem.name}")
     if args.resume:
         restored = sequence.resume()
-        print(f"  resumed {restored} completed step(s) from checkpoint")
+        print(f"  resumed {restored} completed step(s) from the operator cache")
     budget = build_budget(args)
     fixed_point = None
     with budget if budget is not None else contextlib.nullcontext():
@@ -262,7 +279,7 @@ def cmd_roundelim(args: argparse.Namespace) -> int:
                 f"  f^{k}: |sigma_out| = {len(current.sigma_out):<5d} "
                 f"0-round solvable: {'yes' if zero is not None else 'no'}"
             )
-            if k > 0 and fixed_point is None and sequence.find_fixed_point(k) is not None:
+            if k > 0 and fixed_point is None:
                 fixed_point = sequence.find_fixed_point(k)
     if fixed_point is not None:
         print(f"  fixed point (up to relabeling) at step {fixed_point}")
@@ -276,12 +293,12 @@ def cmd_roundelim(args: argparse.Namespace) -> int:
 def cmd_speedup(args: argparse.Namespace) -> int:
     from repro.roundelim.gap import speedup, verify_on_random_forests
 
+    use_checkpoint_dir(args)
     problem = resolve_problem(args.problem)
     result = speedup(
         problem,
         max_steps=args.max_steps,
         budget=build_budget(args),
-        checkpoint=args.checkpoint,
         resume=args.resume,
     )
     print(result.summary())
@@ -311,6 +328,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not specs:
         print("error: name a problem, or pass --catalog / --check", file=sys.stderr)
         return 2
+    use_checkpoint_dir(args)
     failures = 0
     for spec in specs:
         problem = resolve_problem(spec)
@@ -318,7 +336,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             problem,
             max_steps=args.max_steps,
             budget=build_budget(args),
-            checkpoint=args.checkpoint,
             resume=args.resume,
         )
         certificate = result.certify(trials=args.trials, seed=args.seed)
@@ -395,12 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint",
             default=None,
             metavar="DIR",
-            help="persist the sequence walk under DIR (default: REPRO_CHECKPOINT_DIR)",
+            help=(
+                "persist the sequence walk: put the operator cache's disk "
+                "layer at DIR, with no size bound (default: REPRO_CACHE_DIR)"
+            ),
         )
         sub.add_argument(
             "--resume",
             action="store_true",
-            help="restore completed steps from the checkpoint before walking",
+            help="restore completed steps from the operator cache before walking",
         )
 
     show = commands.add_parser("show", help="print a problem definition")
@@ -592,11 +612,17 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.handler(args)
     except KeyboardInterrupt:
-        # Journals and checkpoints are flushed+fsynced per record, so an
-        # interrupt loses at most the in-flight cell/step; the standard
-        # 128+SIGINT exit code tells callers the run is resumable.
+        # Journals are flushed+fsynced per record and disk-cache entries
+        # are replaced atomically, so an interrupt loses at most the
+        # in-flight cell/operator; the standard 128+SIGINT exit code tells
+        # callers the run is resumable.
         sys.stdout.flush()
-        print("interrupted: journaled/checkpointed progress is preserved", file=sys.stderr)
+        print(
+            "interrupted: journaled progress is preserved; a walk keeps its "
+            "finished operator results only under --checkpoint DIR or "
+            "REPRO_CACHE_DIR",
+            file=sys.stderr,
+        )
         sys.stderr.flush()
         return 130
     except ReproError as error:

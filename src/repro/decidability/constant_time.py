@@ -92,7 +92,6 @@ def semidecide_constant_time(
     max_universe: int = 4096,
     use_cache: bool = True,
     budget: Optional[Budget] = None,
-    checkpoint=None,
     resume: bool = False,
 ) -> ConstantTimeVerdict:
     """Run the Question 1.7 semidecision loop on a node-edge-checkable LCL.
@@ -107,8 +106,9 @@ def semidecide_constant_time(
     ``INCONCLUSIVE`` verdict whose :attr:`~ConstantTimeVerdict.unknown_since_step`
     and :attr:`~ConstantTimeVerdict.budget_diagnostics` report exactly how
     far the walk got — never a hang, never a bare exception.
-    ``checkpoint`` / ``resume`` persist and restore the underlying
-    sequence walk (see :mod:`repro.roundelim.checkpoint`).
+    ``resume=True`` restores the completed prefix of the underlying
+    sequence walk from the operator cache (see
+    :meth:`repro.roundelim.sequence.ProblemSequence.resume`).
     """
     before = operator_cache.stats()["operators"]
     result = speedup(
@@ -117,7 +117,6 @@ def semidecide_constant_time(
         max_universe=max_universe,
         use_cache=use_cache,
         budget=budget,
-        checkpoint=checkpoint,
         resume=resume,
     )
     cache_stats = _stats_delta(before, operator_cache.stats()["operators"])

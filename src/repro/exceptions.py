@@ -120,8 +120,8 @@ class SupervisorError(ReproError):
     Signals *caller* errors — an unknown cell runner, a missing journal
     directory, a journal belonging to a different campaign.  Damage to
     journal contents never raises this: torn or corrupt journal lines
-    degrade to recomputation of the affected cells, exactly like
-    checkpoint corruption (:class:`CheckpointError` semantics).
+    degrade to recomputation of the affected cells, exactly like corrupt
+    operator-cache entries do for a resumed sequence walk.
     """
 
 
@@ -149,10 +149,3 @@ class SchedulerHalted(SchedulerError):
     ``resume=True`` run to recover.
     """
 
-
-class CheckpointError(ReproError):
-    """A sequence checkpoint cannot be written or safely resumed from.
-
-    Unreadable/corrupt snapshots never raise this during :meth:`resume`
-    (they degrade to recomputation); it signals *caller* errors such as a
-    missing checkpoint directory."""

@@ -25,7 +25,6 @@ from repro.roundelim.ops import (
     simplify,
 )
 from repro.utils.cache import format_stats, reset_stats, stats
-from repro.roundelim.checkpoint import SequenceCheckpoint
 from repro.roundelim.sequence import ProblemSequence
 from repro.roundelim.zero_round import (
     ZeroRoundAlgorithm,
@@ -59,7 +58,6 @@ __all__ = [
     "remove_dominated_labels",
     "simplify",
     "ProblemSequence",
-    "SequenceCheckpoint",
     "ZeroRoundAlgorithm",
     "decide_zero_round",
     "find_zero_round_algorithm",

@@ -113,7 +113,6 @@ def speedup(
     detect_fixed_points: bool = True,
     use_cache: bool = True,
     budget: Optional[Budget] = None,
-    checkpoint=None,
     resume: bool = False,
 ) -> GapResult:
     """Run the Theorem 3.10 pipeline on a node-edge-checkable problem.
@@ -129,9 +128,10 @@ def speedup(
     inside ``with Budget(...):``) and exhaustion mid-walk degrades to a
     structured ``"unknown"`` result with :attr:`GapResult.unknown_since_step`
     and :attr:`GapResult.budget_diagnostics` populated — no hang, no bare
-    exception.  ``checkpoint`` / ``resume`` are forwarded to
-    :class:`~repro.roundelim.sequence.ProblemSequence` so an interrupted
-    walk continues from its last persisted step.
+    exception.  ``resume=True`` first restores the completed prefix of an
+    earlier walk from the operator cache's disk layer
+    (:meth:`~repro.roundelim.sequence.ProblemSequence.resume`), so an
+    interrupted walk continues from its last cached step.
     """
     sequence = ProblemSequence(
         problem,
@@ -139,7 +139,6 @@ def speedup(
         use_domination=use_domination,
         max_universe=max_universe,
         use_cache=use_cache,
-        checkpoint=checkpoint,
     )
     if resume:
         restored = sequence.resume()

@@ -43,7 +43,10 @@ operator cache (:mod:`repro.utils.cache` keyed by
 :func:`repro.roundelim.canonical.canonical_hash`): a problem met twice —
 even under different output label spellings, even in a different process
 when the disk layer is on — is computed once.  Pass ``use_cache=False``
-(or set ``REPRO_CACHE=0``) to force recomputation.
+(or set ``REPRO_CACHE=0``) to force recomputation.  The disk layer is
+also what persists a sequence walk: :meth:`ProblemSequence.resume
+<repro.roundelim.sequence.ProblemSequence.resume>` rebuilds a killed
+walk's prefix by lookups alone.
 
 Compiled backend
 ----------------
@@ -56,9 +59,11 @@ oracle sorts by, results are decoded back into the problem's own
 alphabet, and budget charges fire identically — so hashes, cache keys,
 and certificates do not depend on which backend answered
 (``tests/test_bitset_differential.py`` enforces this bit-for-bit).
-``REPRO_BITSET=0`` or :func:`configure_bitset` forces the oracle;
-out-of-range inputs (alphabets past 64 labels) fall back automatically
-and are counted as ``bitset_fallbacks`` in the stats.
+``REPRO_BITSET=0`` or :func:`configure_bitset` forces the oracle.
+Out-of-range inputs fall back automatically and are counted as
+``bitset_fallbacks`` in the stats: a base alphabet past 64 labels, an
+empty alphabet, and configurations too wide to pack into one 64-bit
+word (:class:`repro.roundelim.bitset.BitsetUnsupported`).
 
 Robustness
 ----------
@@ -303,45 +308,61 @@ def _power_problem(
     )
 
 
+def _lookup(
+    operator: str, problem: NodeEdgeCheckableLCL, use_cache: bool, **options: Any
+) -> Tuple[Optional[Tuple[str, str, str]], Optional[NodeEdgeCheckableLCL]]:
+    """Look ``operator(problem, **options)`` up in the operator cache.
+
+    ``operator`` is ``"R"``, ``"Rbar"`` or ``"simplify"``; the cache key
+    is ``(operator, canonical_hash(problem), flags)`` with ``flags`` the
+    sorted ``name=value`` options.  Returns ``(key, result)``: ``key`` is
+    ``None`` when caching is off, ``result`` is ``None`` on a miss.  Never
+    computes: a hit is decoded against the *query* problem's canonical
+    order (correct even when the entry was stored for an isomorphic
+    relabeling), and a decode failure — e.g. a poisoned on-disk entry —
+    invalidates the entry and reads as a miss.
+    """
+    store = operator_cache.get_cache()
+    if not (use_cache and store.enabled):
+        return None, None
+    start = time.perf_counter()
+    flags = ";".join(f"{name}={value}" for name, value in sorted(options.items()))
+    key = (operator, canonical_hash(problem), flags)
+    payload = store.get(key, stat_key=operator)
+    if payload is None:
+        return key, None
+    name = problem.name if operator == "simplify" else f"{operator}({problem.name})"
+    try:
+        result = decode_result(problem, payload, name=name)
+    except Exception:
+        store.invalidate(key)
+        operator_cache.record(operator, decode_errors=1)
+        return key, None
+    operator_cache.record(operator, hits=1, wall_time=time.perf_counter() - start)
+    return key, result
+
+
 def _cached_call(
     operator: str,
     problem: NodeEdgeCheckableLCL,
-    flags: str,
     compute: Callable[[], NodeEdgeCheckableLCL],
-    result_name: str,
     use_cache: bool,
+    **options: Any,
 ) -> NodeEdgeCheckableLCL:
-    """Run ``compute`` through the canonical operator cache.
-
-    Safe by construction: a hit is decoded against the *query* problem's
-    canonical order (correct even when the entry was stored for an
-    isomorphic relabeling), and any decode failure — e.g. a poisoned
-    on-disk entry — invalidates the entry and falls back to computing.
-    """
+    """Serve ``operator`` from the cache (see :func:`_lookup`), or run
+    ``compute`` and store its result."""
     start = time.perf_counter()
-    store = operator_cache.get_cache()
-    if not (use_cache and store.enabled):
-        result = compute()
+    key, result = _lookup(operator, problem, use_cache, **options)
+    if result is not None:
+        return result
+    result = compute()
+    if key is None:
         operator_cache.record(
             operator, computes=1, wall_time=time.perf_counter() - start
         )
         return result
-    key = (operator, canonical_hash(problem), flags)
-    payload = store.get(key, stat_key=operator)
-    if payload is not None:
-        try:
-            result = decode_result(problem, payload, name=result_name)
-        except Exception:
-            store.invalidate(key)
-            operator_cache.record(operator, decode_errors=1)
-        else:
-            operator_cache.record(
-                operator, hits=1, wall_time=time.perf_counter() - start
-            )
-            return result
-    result = compute()
     try:
-        store.put(key, encode_result(problem, result))
+        operator_cache.get_cache().put(key, encode_result(problem, result))
         operator_cache.record(operator, stores=1)
     except UnencodableLabelError:
         pass  # exotic label types: recompute next time
@@ -373,7 +394,6 @@ def R(
     return _cached_call(
         "R",
         problem,
-        f"max_universe={max_universe};universe_mode={universe_mode}",
         lambda: _power_problem(
             problem,
             node_forall=False,
@@ -381,8 +401,9 @@ def R(
             max_universe=max_universe,
             universe_mode=universe_mode,
         ),
-        result_name=f"R({problem.name})",
-        use_cache=use_cache,
+        use_cache,
+        max_universe=max_universe,
+        universe_mode=universe_mode,
     )
 
 
@@ -401,7 +422,6 @@ def R_bar(
     return _cached_call(
         "Rbar",
         problem,
-        f"max_universe={max_universe};universe_mode={universe_mode}",
         lambda: _power_problem(
             problem,
             node_forall=True,
@@ -409,8 +429,9 @@ def R_bar(
             max_universe=max_universe,
             universe_mode=universe_mode,
         ),
-        result_name=f"Rbar({problem.name})",
-        use_cache=use_cache,
+        use_cache,
+        max_universe=max_universe,
+        universe_mode=universe_mode,
     )
 
 
@@ -586,8 +607,7 @@ def simplify(
     return _cached_call(
         "simplify",
         problem,
-        f"domination={domination}",
         lambda: _simplify_impl(problem, domination),
-        result_name=problem.name,
-        use_cache=use_cache,
+        use_cache,
+        domination=domination,
     )

@@ -14,28 +14,27 @@ soundness or completeness.
 
 Fault tolerance
 ---------------
-A sequence can **checkpoint** its progress: pass ``checkpoint=`` a
-directory (or set ``REPRO_CHECKPOINT_DIR``) and every completed ``Π_k``
-and ``R(Π_k)`` is atomically persisted through
-:mod:`repro.roundelim.checkpoint`.  A later walk over the same problem
-and options calls :meth:`ProblemSequence.resume` to restore the verified
-prefix — bit-identical to the uninterrupted run, with zero operator
-recomputation for completed steps — and continues from there.  The walk
-also cooperates with the ambient :class:`repro.utils.budget.Budget`: the
-step about to be computed is reported so a budget trip carries
-``step``-level diagnostics.
+A walk persists through the operator cache: with its disk layer on
+(``REPRO_CACHE_DIR``, or the CLI's ``--checkpoint DIR``) every ``R`` /
+``R̄`` / ``simplify`` result is stored as it is computed.  A later walk
+over the same problem and options calls :meth:`ProblemSequence.resume`
+to rebuild the completed prefix by cache lookups alone — identical to
+the uninterrupted walk, names included, with zero operator computes —
+and continues from there.  A corrupt entry reads as a miss, so damage
+only shortens the restored prefix.  The walk also cooperates with the
+ambient :class:`repro.utils.budget.Budget`: the step about to be
+computed is reported so a budget trip carries ``step``-level
+diagnostics.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set
 
 from repro.lcl.nec import NodeEdgeCheckableLCL
-from repro.roundelim.canonical import canonically_equal
-from repro.roundelim.checkpoint import SequenceCheckpoint, default_checkpoint_dir
-from repro.roundelim.ops import R, R_bar, simplify
+from repro.roundelim.canonical import canonical_hash, canonically_equal
+from repro.roundelim.ops import R, R_bar, _lookup, simplify
 from repro.utils import budget as budget_scope
 
 logger = logging.getLogger(__name__)
@@ -65,11 +64,6 @@ class ProblemSequence:
         sequence over a previously seen problem performs zero operator
         recomputations.  ``False`` forces fresh kernel runs (the
         per-instance memo in this object still applies).
-    checkpoint:
-        ``False`` (never persist), a directory / :class:`SequenceCheckpoint`
-        (persist there), or ``None`` — the default — which persists iff
-        ``REPRO_CHECKPOINT_DIR`` is set.  Snapshots are written after
-        every completed step; call :meth:`resume` to restore one.
     """
 
     def __init__(
@@ -80,7 +74,6 @@ class ProblemSequence:
         max_universe: int = 4096,
         universe_mode: str = "reduced",
         use_cache: bool = True,
-        checkpoint: Union[None, bool, str, os.PathLike, SequenceCheckpoint] = None,
     ):
         self.base = problem
         self.use_simplification = use_simplification
@@ -90,52 +83,34 @@ class ProblemSequence:
         self.use_cache = use_cache
         self._problems: List[NodeEdgeCheckableLCL] = [problem]
         self._intermediates: Dict[int, NodeEdgeCheckableLCL] = {}
-        self._checkpoint = self._resolve_checkpoint(checkpoint)
-
-    def _resolve_checkpoint(
-        self, checkpoint: Union[None, bool, str, os.PathLike, SequenceCheckpoint]
-    ) -> Optional[SequenceCheckpoint]:
-        if checkpoint is False:
-            return None
-        if isinstance(checkpoint, SequenceCheckpoint):
-            return checkpoint
-        if checkpoint is None or checkpoint is True:
-            directory = default_checkpoint_dir()
-            if directory is None:
-                return None
-        else:
-            directory = checkpoint
-        return SequenceCheckpoint(self.base, self._options(), directory=directory)
-
-    def _options(self) -> Dict[str, object]:
-        """The option fingerprint a checkpoint must match to be resumable."""
-        return {
-            "use_simplification": self.use_simplification,
-            "use_domination": self.use_domination,
-            "max_universe": self.max_universe,
-            "universe_mode": self.universe_mode,
-        }
-
-    @property
-    def checkpoint(self) -> Optional[SequenceCheckpoint]:
-        """The attached checkpoint store, if checkpointing is enabled."""
-        return self._checkpoint
 
     def resume(self) -> int:
-        """Restore the verified prefix from the checkpoint snapshot.
+        """Restore the completed prefix of an earlier walk from the cache.
 
-        Returns the number of completed steps restored (0 when there is
-        no snapshot, the snapshot is corrupt, or checkpointing is off).
-        Restored problems are bit-identical to the ones the original walk
-        computed, and :meth:`problem` will not recompute them.
+        Walks ``R(Π_k)`` → ``simplify`` → ``R̄`` → ``simplify`` by cache
+        lookups alone, from the last step this sequence holds, and stops
+        at the first miss — or once a restored ``Π_k`` repeats an earlier
+        one, since past a fixed point every lookup would hit again.  When
+        only the ``R̄`` half of a step is cached, ``R(Π_k)`` is restored
+        without ``Π_{k+1}``.  Returns the number of completed steps (0 when
+        caching is off or nothing is cached).  Computes no operator;
+        restored problems equal the ones the original walk computed.
         """
-        if self._checkpoint is None:
-            return 0
-        problems, intermediates = self._checkpoint.load()
-        if len(problems) > len(self._problems):
-            self._problems = problems
-        for step, problem in intermediates.items():
-            self._intermediates.setdefault(step, problem)
+        seen: Set[str] = set()
+        while True:
+            k = len(self._problems) - 1
+            if k not in self._intermediates:
+                half = self._restore("R", self._problems[k])
+                if half is None:
+                    break
+                self._intermediates[k] = half
+            following = self._restore("Rbar", self._intermediates[k])
+            if following is None:
+                break
+            seen.add(canonical_hash(self._problems[k]))
+            self._problems.append(following)
+            if canonical_hash(following) in seen:
+                break
         restored = len(self._problems) - 1
         if restored:
             logger.info(
@@ -145,9 +120,23 @@ class ProblemSequence:
             )
         return restored
 
-    def _persist(self) -> None:
-        if self._checkpoint is not None:
-            self._checkpoint.save(self._problems, self._intermediates)
+    def _restore(
+        self, operator: str, problem: NodeEdgeCheckableLCL
+    ) -> Optional[NodeEdgeCheckableLCL]:
+        """The cached, hygiene-cleaned ``operator(problem)``, or ``None``."""
+        _, result = _lookup(
+            operator,
+            problem,
+            self.use_cache,
+            max_universe=self.max_universe,
+            universe_mode=self.universe_mode,
+        )
+        if result is None or not self.use_simplification:
+            return result
+        _, result = _lookup(
+            "simplify", result, self.use_cache, domination=self.use_domination
+        )
+        return result
 
     def _clean(self, problem: NodeEdgeCheckableLCL) -> NodeEdgeCheckableLCL:
         if not self.use_simplification:
@@ -168,7 +157,6 @@ class ProblemSequence:
                     use_cache=self.use_cache,
                 )
             )
-            self._persist()
         return self._intermediates[k]
 
     def problem(self, k: int) -> NodeEdgeCheckableLCL:
@@ -187,7 +175,6 @@ class ProblemSequence:
                     )
                 )
             )
-            self._persist()
         return self._problems[k]
 
     def completed_steps(self) -> int:

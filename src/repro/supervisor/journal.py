@@ -1,8 +1,8 @@
 """Append-only, checksummed JSONL run journal for campaigns.
 
-The journal is the campaign analogue of
-:mod:`repro.roundelim.checkpoint`, adapted to a *stream* of independent
-cell results rather than a single snapshot:
+The journal persists a campaign as a *stream* of independent cell
+results (a round-elimination walk persists through the operator cache
+instead, one entry per operator result):
 
 * one line per record, appended with flush + fsync, so a crash or
   ``SIGINT`` loses at most the line being written;

@@ -200,8 +200,9 @@ declare(
     True,
     "Compiled bitset backend for the round-elimination operators and label "
     "hygiene (numpy bitmask kernels); 0/false/off/no forces the pure-Python "
-    "oracle path.  Unsupported shapes (>64 base labels, node degree >3) "
-    "always fall back to the oracle automatically.",
+    "oracle path.  Every node degree is compiled; the only shapes that fall "
+    "back to the oracle automatically are a base alphabet over 64 labels, an "
+    "empty alphabet, and configurations too wide to pack into one 64-bit word.",
 )
 declare(
     "REPRO_BITSET_DIFF_COUNT",
@@ -231,13 +232,6 @@ declare(
     0,
     "Seed for the fault-injection plan; the same spec+seed fires the same "
     "faults at the same injection points on every run.",
-)
-declare(
-    "REPRO_CHECKPOINT_DIR",
-    "str",
-    None,
-    "Default directory for atomic, checksummed ProblemSequence checkpoints "
-    "(the --checkpoint flag overrides it).",
 )
 declare(
     "REPRO_CELL_TIMEOUT",

@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection for the round-elimination engine.
 
-The robustness layer (cache corruption recovery, sequence checkpointing,
-campaign supervision and scheduling) is only trustworthy if it is
-*exercised*: this module lets tests — and the CI chaos job — inject
+The robustness layer (cache corruption recovery, which also guards
+resumed sequence walks; campaign supervision and scheduling) is only
+trustworthy if it is *exercised*: this module lets tests — and the CI chaos job — inject
 controlled failures at every recovery boundary and then assert that
 results are bit-identical to a clean serial run.
 
@@ -18,10 +18,6 @@ Supported kinds
 ``cache_corrupt``
     A disk read in :mod:`repro.utils.cache` returns truncated bytes
     (exercises the poisoned-entry path: delete, count, recompute).
-``checkpoint_truncate``
-    A checkpoint write in :mod:`repro.roundelim.checkpoint` persists a
-    torn (truncated) file, as if the process had been killed mid-write
-    (exercises checksum verification and fresh-start recovery).
 ``sim_crash``
     A supervised simulation cell raises :class:`InjectedFault` mid-run
     (exercises the supervisor's capture-traceback / retry / quarantine
@@ -84,7 +80,6 @@ _ENV_SEED = "REPRO_FAULTS_SEED"
 #: Recognized fault kinds (unknown kinds in a spec are rejected loudly).
 KINDS = (
     "cache_corrupt",
-    "checkpoint_truncate",
     "sim_crash",
     "sim_hang",
     "sim_oom",

@@ -28,8 +28,8 @@ round-elimination engine) can re-establish the verdict's claims:
     refutation witness — the machine-checkable content of the anytime
     verdict ``UNKNOWN(>= step k)``.
 
-Like :mod:`repro.roundelim.checkpoint` snapshots, the JSON rendering is
-versioned and whole-file checksummed, so truncation, bit-rot, and
+Like campaign journal lines, the JSON rendering is versioned and
+whole-file checksummed, so truncation, bit-rot, and
 tampering are all *detected* — a damaged certificate fails its check, it
 never silently passes.
 """

@@ -112,6 +112,62 @@ class TestSupervisedLandscape:
         assert len(list(tmp_path.glob("run-*.jsonl"))) == 2
 
 
+class TestCheckpointResume:
+    """``--checkpoint DIR`` persists a walk in the operator cache's disk
+    layer; ``--resume`` in a later call restores its completed steps."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_cache(self):
+        from repro.utils import cache as operator_cache
+        from repro.utils.faults import configure_faults, reset_faults
+
+        # Injected cache_corrupt faults would turn the resumed lookups
+        # into misses.
+        configure_faults(None)
+        operator_cache.reset()
+        yield
+        operator_cache.reset()
+        reset_faults()
+
+    @staticmethod
+    def _computes():
+        from repro.utils import cache as operator_cache
+
+        operators = operator_cache.stats()["operators"].values()
+        return sum(c["computes"] for c in operators)
+
+    def test_roundelim_checkpoint_then_resume(self, tmp_path, capsys):
+        argv = ["roundelim", "sinkless", "--steps", "2", "--checkpoint", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert list(tmp_path.glob("*.json"))
+
+        assert main(argv + ["--resume"]) == 0
+        second = capsys.readouterr().out.splitlines()
+        assert second[1] == "  resumed 2 completed step(s) from the operator cache"
+        assert [second[0]] + second[2:] == first
+        assert self._computes() == 0
+
+    @pytest.mark.parametrize("verb", ["speedup", "certify"])
+    def test_pipeline_verbs_checkpoint_then_resume(self, verb, tmp_path, capsys):
+        argv = [verb, "sinkless", "--max-steps", "2", "--checkpoint", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert list(tmp_path.glob("*.json"))
+
+        from repro.utils import cache as operator_cache
+
+        operator_cache.reset_stats()
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert self._computes() == 0
+
+    def test_checkpoint_with_no_cache_exits_2(self, tmp_path, capsys):
+        argv = ["roundelim", "sinkless", "--steps", "1", "--no-cache"]
+        assert main(argv + ["--checkpoint", str(tmp_path)]) == 2
+        assert "--no-cache" in capsys.readouterr().err
+
+
 class TestInterruptExitCode:
     def test_keyboard_interrupt_exits_130_for_any_verb(self, capsys, monkeypatch):
         def interrupted(args):

@@ -15,7 +15,6 @@ EXPECTED_KNOBS = {
     "REPRO_CACHE_MAX_BYTES": "int",
     "REPRO_FAULTS": "str",
     "REPRO_FAULTS_SEED": "int",
-    "REPRO_CHECKPOINT_DIR": "str",
     "REPRO_CONFORMANCE_COUNT": "int",
     "REPRO_CELL_TIMEOUT": "float",
     "REPRO_CELL_MEM_MB": "int",

@@ -2,8 +2,8 @@
 injected faults (:mod:`repro.utils.faults`).
 
 Every recovery boundary is exercised against a clean baseline: corrupt
-disk-cache entries (poison recovery), torn checkpoint writes (checksum
-verification + fresh start), and adversarial identifier assignments.
+disk-cache entries (poison recovery, also under a resumed sequence walk)
+and adversarial identifier assignments.
 Failures must be *loud* — counted in ``stats()`` and logged — but never
 change results.
 """
@@ -24,7 +24,6 @@ pytestmark = pytest.mark.chaos
 def clean_engine(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
     operator_cache.reset()
     operator_cache.reset_stats()
     operator_cache.configure(enabled=True, disk_dir=None)
@@ -130,25 +129,31 @@ class TestChaosCache:
 
 class TestChaosCheckpoint:
     def test_torn_checkpoint_writes_recover_to_identical_walk(self, tmp_path):
+        """A walk persisted in the disk cache, resumed while every disk
+        read comes back torn: the resume must detect the damage, restore
+        nothing wrong, and recompute to the same walk."""
         problem = catalog.echo(3)
         configure_faults(None)
-        clean = ProblemSequence(problem, use_cache=False, checkpoint=False)
+        clean = ProblemSequence(problem, use_cache=False)
         expected = [clean.problem(k) for k in range(3)]
 
-        configure_faults({"checkpoint_truncate": 1.0}, seed=13)
-        torn = ProblemSequence(problem, use_cache=False, checkpoint=tmp_path)
-        [torn.problem(k) for k in range(3)]
-        configure_faults(None)
+        operator_cache.configure(enabled=True, disk_dir=tmp_path)
+        first = ProblemSequence(problem)
+        [first.problem(k) for k in range(3)]
 
-        # Every persisted snapshot was torn mid-write; a resume must detect
-        # the damage, restore nothing wrong, and recompute to the same walk.
-        resumed = ProblemSequence(problem, use_cache=False, checkpoint=tmp_path)
+        operator_cache.configure(enabled=True, disk_dir=tmp_path)  # cold memory
+        operator_cache.reset_stats()
+        configure_faults({"cache_corrupt": 1.0}, seed=13)
+        resumed = ProblemSequence(problem)
         restored = resumed.resume()
         observed = [resumed.problem(k) for k in range(3)]
+        configure_faults(None)
+
+        assert restored == 0
         assert observed == expected
-        assert restored == 0 or all(
-            resumed.problem(k) == expected[k] for k in range(restored + 1)
-        )
+        assert [p.name for p in observed] == [p.name for p in expected]
+        operators = operator_cache.stats()["operators"]
+        assert sum(op.get("disk_errors", 0) for op in operators.values()) > 0
 
 
 class TestSimulatorFaultKinds:

@@ -28,7 +28,7 @@ KNOWN_SINKS = [
     "repro.roundelim.canonical.canonical_encoding",
     "repro.roundelim.canonical.canonical_hash",
     "repro.supervisor.journal.CampaignJournal.append_cell",
-    "repro.roundelim.checkpoint.SequenceCheckpoint.save",
+    "repro.roundelim.canonical.encode_result",
 ]
 
 #: Same modules, read-side entrypoints: decoding/loading is not a sink.
@@ -36,7 +36,7 @@ KNOWN_NON_SINKS = [
     "repro.lcl.codec.decode_label",
     "repro.lcl.codec.decode_problem",
     "repro.supervisor.journal.CampaignJournal.load",
-    "repro.roundelim.checkpoint.SequenceCheckpoint.load",
+    "repro.roundelim.canonical.decode_result",
     "repro.graphs.generators.random_tree",  # sink verb shape needs an ordered-output module
 ]
 

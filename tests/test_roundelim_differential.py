@@ -15,9 +15,14 @@ from repro.exceptions import ProblemDefinitionError
 from repro.lcl.catalog import standard_catalog
 from repro.lcl.random_problems import random_lcl
 from repro.roundelim import ProblemSequence
-from repro.roundelim.canonical import canonical_hash, canonically_equal
+from repro.roundelim.canonical import (
+    canonical_hash,
+    canonically_equal,
+    clear_canonical_memo,
+)
 from repro.roundelim.ops import R, R_bar, simplify
 from repro.utils import cache as operator_cache
+from repro.utils.faults import configure_faults, reset_faults
 
 CATALOG_PROBLEMS = [(p.name, p) for p in standard_catalog(max_degree=3)]
 
@@ -156,15 +161,40 @@ class TestFixedPointUpToRelabeling:
 
 
 class TestInterruptedThenResumed:
-    """Checkpoint/resume differential: killing a walk after any step and
-    resuming it must yield bit-identical problems with zero operator
-    recomputation for the completed prefix."""
+    """Resume differential: killing a walk after any step and resuming it
+    from the operator cache's disk layer must yield identical problems,
+    names included, with zero operator recomputation for the completed
+    prefix."""
 
     STEPS = 3
+    #: echo's walk repeats itself from step 2 on (Pi_2 is isomorphic to
+    #: Pi_1), and resume stops at the first repeat: every later step is a
+    #: hit on entries it already restored.
+    ECHO_REPEATS_AT = 2
+
+    @pytest.fixture(autouse=True)
+    def no_faults(self):
+        # The chaos job runs tier-1 under REPRO_FAULTS=cache_corrupt:...,
+        # which would poison the disk reads the zero-recompute assertions
+        # below rely on.
+        configure_faults(None)
+        yield
+        reset_faults()
 
     def _uninterrupted(self, problem):
-        sequence = ProblemSequence(problem, use_cache=False, checkpoint=False)
+        sequence = ProblemSequence(problem, use_cache=False)
         return [sequence.problem(k) for k in range(self.STEPS + 1)]
+
+    @staticmethod
+    def _computes():
+        return sum(c["computes"] for c in operator_cache.stats()["operators"].values())
+
+    @staticmethod
+    def _fresh_process(directory):
+        """Forget everything but the disk layer, as a new process would."""
+        operator_cache.configure(enabled=True, disk_dir=directory)
+        operator_cache.reset_stats()
+        clear_canonical_memo()
 
     def test_resume_after_every_step_is_bit_identical(self, tmp_path):
         problem = dict(CATALOG_PROBLEMS)["echo"]
@@ -172,68 +202,89 @@ class TestInterruptedThenResumed:
         for kill_after in range(self.STEPS + 1):
             directory = tmp_path / f"kill-{kill_after}"
             # Walk to step `kill_after`, then "die" (drop the object).
-            first = ProblemSequence(problem, use_cache=False, checkpoint=directory)
+            operator_cache.configure(enabled=True, disk_dir=directory)
+            first = ProblemSequence(problem)
             first.problem(kill_after)
             del first
 
-            # A fresh process-equivalent: new sequence, same checkpoint dir,
-            # cache disabled so only the checkpoint can supply the prefix.
-            operator_cache.reset()
-            operator_cache.reset_stats()
-            resumed = ProblemSequence(problem, use_cache=False, checkpoint=directory)
-            assert resumed.resume() == kill_after
+            # A fresh process-equivalent: the memory layer is dropped, so
+            # only the disk layer can supply the prefix.
+            self._fresh_process(directory)
+            resumed = ProblemSequence(problem)
+            restored = resumed.resume()
+            assert restored == min(kill_after, self.ECHO_REPEATS_AT)
+            assert self._computes() == 0, "resume itself must not compute"
 
-            computes_after_resume = sum(
-                c["computes"] for c in operator_cache.stats()["operators"].values()
-            )
-            assert computes_after_resume == 0, "resume itself must not compute"
-
-            # Restored prefix: bit-identical and free (zero recomputation).
+            # Restored prefix: identical, names included, and free.
             for k in range(kill_after + 1):
                 assert resumed.problem(k) == expected[k]
-            assert (
-                sum(c["computes"] for c in operator_cache.stats()["operators"].values())
-                == 0
-            ), f"resumed walk recomputed the completed prefix (kill_after={kill_after})"
+                assert resumed.problem(k).name == expected[k].name
+            assert self._computes() == 0, (
+                f"resumed walk recomputed the completed prefix (kill_after={kill_after})"
+            )
 
             # Continuing past the kill point matches the uninterrupted walk.
             for k in range(self.STEPS + 1):
                 assert resumed.problem(k) == expected[k]
+                assert resumed.problem(k).name == expected[k].name
 
     def test_resume_restores_intermediates_for_lifting(self, tmp_path):
         problem = dict(CATALOG_PROBLEMS)["echo"]
-        first = ProblemSequence(problem, use_cache=False, checkpoint=tmp_path)
+        operator_cache.configure(enabled=True, disk_dir=tmp_path)
+        first = ProblemSequence(problem)
         first.problem(2)
         expected_half = first.intermediate(1)
 
-        operator_cache.reset()
-        operator_cache.reset_stats()
-        resumed = ProblemSequence(problem, use_cache=False, checkpoint=tmp_path)
+        self._fresh_process(tmp_path)
+        resumed = ProblemSequence(problem)
         resumed.resume()
         assert resumed.intermediate(1) == expected_half
-        assert (
-            sum(c["computes"] for c in operator_cache.stats()["operators"].values()) == 0
-        ), "R(Pi_1) must come from the checkpoint, not a fresh kernel run"
+        assert resumed.intermediate(1).name == expected_half.name
+        assert self._computes() == 0, (
+            "R(Pi_1) must come from the disk cache, not a fresh kernel run"
+        )
 
     def test_checkpoint_ignores_mismatched_options(self, tmp_path):
         problem = dict(CATALOG_PROBLEMS)["echo"]
-        first = ProblemSequence(problem, use_cache=False, checkpoint=tmp_path)
+        operator_cache.configure(enabled=True, disk_dir=tmp_path)
+        first = ProblemSequence(problem)
         first.problem(2)
 
-        other = ProblemSequence(
-            problem, use_cache=False, use_domination=False, checkpoint=tmp_path
-        )
-        assert other.resume() == 0, "different hygiene options must not share state"
+        self._fresh_process(tmp_path)
+        for options in ({"use_domination": False}, {"max_universe": 512}):
+            other = ProblemSequence(problem, **options)
+            assert other.resume() == 0, f"{options} must not share state"
+        assert self._computes() == 0
 
-    def test_env_var_enables_checkpointing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        problem = dict(CATALOG_PROBLEMS)["echo"]
-        sequence = ProblemSequence(problem, use_cache=False)
-        sequence.problem(1)
-        assert list(tmp_path.glob("seq-*.json")), "REPRO_CHECKPOINT_DIR must persist"
+    def test_resume_restores_a_half_finished_step(self, tmp_path):
+        """Killed between R(Pi_k) and Rbar: R(Pi_k) comes back, Pi_{k+1}
+        does not, and finishing the step computes only the Rbar half."""
+        problem = dict(CATALOG_PROBLEMS)["consensus"]
+        expected = self._uninterrupted(problem)
+        operator_cache.configure(enabled=True, disk_dir=tmp_path)
+        first = ProblemSequence(problem)
+        first.problem(1)
+        expected_half = first.intermediate(1)
 
-        resumed = ProblemSequence(problem, use_cache=False)
+        self._fresh_process(tmp_path)
+        resumed = ProblemSequence(problem)
         assert resumed.resume() == 1
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR")
-        off = ProblemSequence(problem, use_cache=False)
-        assert off.checkpoint is None
+        assert resumed.completed_steps() == 1
+        assert resumed._intermediates[1] == expected_half
+        assert resumed._intermediates[1].name == expected_half.name
+        assert self._computes() == 0
+
+        assert resumed.problem(2) == expected[2]
+        assert resumed.problem(2).name == expected[2].name
+        computes = {
+            name: c["computes"]
+            for name, c in operator_cache.stats()["operators"].items()
+            if c["computes"]
+        }
+        assert computes == {"Rbar": 1, "simplify": 1}
+
+    def test_resume_with_nothing_cached_restores_nothing(self):
+        problem = dict(CATALOG_PROBLEMS)["echo"]
+        ProblemSequence(problem, use_cache=False).problem(2)
+        assert ProblemSequence(problem).resume() == 0
+        assert ProblemSequence(problem, use_cache=False).resume() == 0
