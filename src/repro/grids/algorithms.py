@@ -173,17 +173,21 @@ class DimensionLengthProbe(LocalAlgorithm):
 
     def run(self, ctx: NodeContext) -> Dict[int, Any]:
         limit = self.radius(ctx.declared_n)
+        # A wider ball keeps the narrower ball's local indices as a prefix,
+        # so the walk resumes at the node where it left the last ball.
+        current = steps = 0
         for radius in range(1, limit + 1):
             ball = ctx.ball(radius)
-            length = self._walk_length(ball)
-            if length is not None:
-                return {port: length for port in range(ball.center_degree())}
+            current, steps = self._walk(ball, current, steps)
+            if current == 0 and steps:
+                return {port: steps for port in range(ball.center_degree())}
         raise AlgorithmError("dimension-0 line never wrapped; not a torus?")
 
     @staticmethod
-    def _walk_length(ball) -> Optional[int]:
-        current = 0
-        steps = 0
+    def _walk(ball, current: int, steps: int) -> Tuple[int, int]:
+        """Follow dimension 0 forward from local node ``current`` (``steps``
+        steps from the center) until the walk is back at the center or
+        would leave ``ball``; the node reached and the steps taken in all."""
         while True:
             forward_port = None
             for port in range(ball.degrees[current]):
@@ -195,8 +199,8 @@ class DimensionLengthProbe(LocalAlgorithm):
                 raise AlgorithmError("missing orientation inputs")
             entry = ball.adj[current].get(forward_port)
             if entry is None:
-                return None  # walked off the ball; need a bigger radius
+                return current, steps  # walked off the ball; need a bigger radius
             current = entry[0]
             steps += 1
             if current == 0:
-                return steps
+                return current, steps

@@ -19,13 +19,21 @@ this module is a complete decision procedure for deterministic 0-round
 solvability of a node-edge-checkable LCL on forests — the base case of the
 gap pipeline and, iterated through ``f = R̄∘R``, the paper's semidecision
 procedure for Question 1.7.
+
+Covering one input tuple is a depth-first search over its ports, each
+trying the ``g``-allowed clique labels in :func:`label_sort_key` order.
+The search is pruned: it extends a partial choice only while the chosen
+multiset is a sub-multiset of some allowed configuration inside the
+clique, so it never walks a branch no configuration completes.  Pruning
+keeps the visiting order, so the first choice found, and with it every
+``(clique, table)``, is the one the exhaustive product would find.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ProblemDefinitionError
 from repro.lcl.nec import NodeEdgeCheckableLCL
@@ -37,7 +45,9 @@ class ZeroRoundAlgorithm:
 
     The table is stored per *sorted* input tuple; arbitrary orderings are
     served by permuting (outputs follow their input labels, so ``g`` stays
-    satisfied and the output multiset is unchanged).
+    satisfied and the output multiset is unchanged).  Each ordering's
+    answer is memoized on the instance, so a node's ports are ranked by
+    :func:`label_sort_key` once per distinct ordered input tuple.
     """
 
     def __init__(
@@ -49,6 +59,7 @@ class ZeroRoundAlgorithm:
         self.problem = problem
         self.clique = clique
         self._table = dict(table)
+        self._outputs: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
 
     @property
     def table(self) -> Dict[Tuple[Any, ...], Tuple[Any, ...]]:
@@ -58,6 +69,9 @@ class ZeroRoundAlgorithm:
     def outputs_for(self, input_tuple: Sequence[Any]) -> Tuple[Any, ...]:
         """Output labels per port for the given ordered input tuple."""
         ordered = tuple(input_tuple)
+        memoized = self._outputs.get(ordered)
+        if memoized is not None:
+            return memoized
         ranking = sorted(range(len(ordered)), key=lambda j: label_sort_key(ordered[j]))
         sorted_inputs = tuple(ordered[j] for j in ranking)
         try:
@@ -69,7 +83,8 @@ class ZeroRoundAlgorithm:
         outputs: List[Any] = [None] * len(ordered)
         for position, port in enumerate(ranking):
             outputs[port] = sorted_outputs[position]
-        return tuple(outputs)
+        memoized = self._outputs[ordered] = tuple(outputs)
+        return memoized
 
     def covered_degrees(self) -> Tuple[int, ...]:
         return tuple(sorted({len(key) for key in self._table}))
@@ -124,43 +139,89 @@ def _cover_with_clique(
 ) -> Optional[Dict[Tuple[Any, ...], Tuple[Any, ...]]]:
     """Try to build the A_det table using only labels from ``clique``."""
     inputs_sorted = sorted(problem.sigma_in, key=label_sort_key)
+    ordered = sorted(clique, key=label_sort_key)
+    candidates_of: Dict[Any, List[Any]] = {}
+    for i in inputs_sorted:
+        allowed = problem.allowed_outputs(i)
+        candidates_of[i] = [label for label in ordered if label in allowed]
+    # A multiset of clique labels is keyed by the sum of its labels'
+    # weights: distinct powers of a base above every count, so the key is
+    # order-free and no two multisets share one.
+    base = max(degrees, default=0) + 1
+    weights = {label: base**position for position, label in enumerate(ordered)}
     table: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
     for degree in degrees:
         allowed_configurations = problem.node_constraints.get(degree)
         if not allowed_configurations:
             return None
+        partials = _partial_configurations(clique, weights, allowed_configurations)
         for input_tuple in itertools.combinations_with_replacement(inputs_sorted, degree):
-            choice = _choose_outputs(problem, clique, input_tuple, allowed_configurations)
+            candidates = [candidates_of[i] for i in input_tuple]
+            choice = _choose_outputs(candidates, weights, partials)
             if choice is None:
                 return None
             table[input_tuple] = choice
     return table
 
 
-def _choose_outputs(
-    problem: NodeEdgeCheckableLCL,
+def _partial_configurations(
     clique: FrozenSet[Any],
-    input_tuple: Tuple[Any, ...],
+    weights: Dict[Any, int],
     allowed_configurations: FrozenSet[Multiset],
+) -> Set[int]:
+    """The keys of every non-empty sub-multiset of an allowed configuration
+    whose labels all lie in ``clique``.
+
+    All configurations of one degree have the same size, so the keys of
+    that full size are exactly those of the allowed configurations inside
+    ``clique``.
+    """
+    partials: Set[int] = set()
+    for configuration in allowed_configurations:
+        items = configuration.items
+        if not clique.issuperset(items):
+            continue
+        sums = {0}
+        for label in items:
+            weight = weights[label]
+            sums |= {total + weight for total in sums}
+        partials |= sums
+    partials.discard(0)
+    return partials
+
+
+def _choose_outputs(
+    candidates: List[List[Any]],
+    weights: Dict[Any, int],
+    partial_configurations: Set[int],
 ) -> Optional[Tuple[Any, ...]]:
-    """Backtracking: one output per port, multiset in N, g respected."""
-    candidates = [
-        sorted(problem.allowed_outputs(i) & clique, key=label_sort_key)
-        for i in input_tuple
-    ]
+    """Pruned depth-first search: one output per port, multiset in N, g respected.
+
+    ``candidates[j]`` lists port ``j``'s outputs (``g`` of its input,
+    inside the clique) by :func:`label_sort_key`; ports are filled in
+    order.  A label extends the partial choice only while the running
+    multiset's key is in ``partial_configurations`` (see
+    :func:`_partial_configurations`), so every full-length choice reached
+    is an allowed configuration.  The search visits choices in the order
+    of the exhaustive product of the candidate lists and cuts only
+    branches no allowed configuration completes, so the first choice it
+    finds is the product's first allowed one.
+    """
     chosen: List[Any] = []
 
-    def recurse(index: int) -> bool:
+    def recurse(index: int, key: int) -> bool:
         if index == len(candidates):
-            return Multiset(chosen) in allowed_configurations
+            return True
         for label in candidates[index]:
-            chosen.append(label)
-            if recurse(index + 1):
-                return True
-            chosen.pop()
+            extended = key + weights[label]
+            if extended in partial_configurations:
+                chosen.append(label)
+                if recurse(index + 1, extended):
+                    return True
+                chosen.pop()
         return False
 
-    return tuple(chosen) if recurse(0) else None
+    return tuple(chosen) if recurse(0, 0) else None
 
 
 def find_zero_round_algorithm(

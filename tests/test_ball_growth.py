@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import AlgorithmError
 from repro.graphs import cycle, random_ids, random_tree
 from repro.graphs.balls import extract_ball, extract_region, grow_ball
 from repro.grids import DimensionLengthProbe, OrientedGrid
@@ -202,3 +203,51 @@ class TestGrowingAlgorithmsMatchFreshExtraction:
         assert_growth_matches_fresh(
             graph, RakeCompressColoring(), ids=random_ids(graph, seed=seed)
         )
+
+
+class RewalkingProbe(DimensionLengthProbe):
+    """The probe as it was before the walk resumed across radii: every
+    radius walks dimension 0 again from the center."""
+
+    def run(self, ctx):
+        for radius in range(1, self.radius(ctx.declared_n) + 1):
+            ball = ctx.ball(radius)
+            length = self._walk_length(ball)
+            if length is not None:
+                return {port: length for port in range(ball.center_degree())}
+        raise AlgorithmError("dimension-0 line never wrapped; not a torus?")
+
+    @staticmethod
+    def _walk_length(ball):
+        current = 0
+        steps = 0
+        while True:
+            forward_port = None
+            for port in range(ball.degrees[current]):
+                label = ball.inputs[current][port]
+                if label == (0, +1):
+                    forward_port = port
+                    break
+            if forward_port is None:
+                raise AlgorithmError("missing orientation inputs")
+            entry = ball.adj[current].get(forward_port)
+            if entry is None:
+                return None
+            current = entry[0]
+            steps += 1
+            if current == 0:
+                return steps
+
+
+class TestDimensionLengthProbeResumesItsWalk:
+    @pytest.mark.parametrize(
+        "sides", [[side, side] for side in range(4, 14)] + [[5, 9], [11, 4], [4, 5, 6]]
+    )
+    def test_matches_the_rewalk_from_the_center(self, sides):
+        grid = OrientedGrid(sides)
+        inputs = grid.orientation_inputs()
+        resumed = run_local_algorithm(grid.graph, DimensionLengthProbe(), inputs=inputs)
+        rewalked = run_local_algorithm(grid.graph, RewalkingProbe(), inputs=inputs)
+        assert dict(resumed.outputs.items()) == dict(rewalked.outputs.items())
+        assert resumed.radius_per_node == rewalked.radius_per_node
+        assert set(dict(resumed.outputs.items()).values()) == {sides[0]}
