@@ -14,12 +14,15 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import AlgorithmError
+from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.local.algorithms.cole_vishkin import palette_schedule
 from repro.local.iterative import IterativeAlgorithm
 from repro.local.model import LocalAlgorithm, NodeContext
+
+NEVER_WRAPPED = "dimension-0 line never wrapped; not a torus?"
 
 
 def _directional_ports(
@@ -164,12 +167,94 @@ class DimensionLengthProbe(LocalAlgorithm):
     Adaptive: grow the ball until the forward walk along dimension 0
     wraps back to the center; the measured locality is ~half the side
     length, pinning the problem in the global class of Corollary 1.5.
+
+    A simulator run executes the probe once for all targets
+    (:meth:`run_targets`): follow the forward ports from each target
+    around its dimension-0 cycle and charge the smallest radius whose ball
+    shows every edge of that cycle.  :meth:`run` grows the ball radius by
+    radius and is the shared execution's oracle.
     """
 
     name = "dimension-length-probe"
 
     def radius(self, n: int) -> int:
         return max(1, n)
+
+    def run_targets(
+        self,
+        graph: Graph,
+        targets: Sequence[int],
+        declared_n: int,
+        inputs: Optional[HalfEdgeLabeling],
+        ids: Optional[List[int]],
+        bits: Optional[List[str]],
+    ) -> Optional[Tuple[int, List[Dict[int, Any]]]]:
+        """Every target's cycle length and the radius :meth:`run` charges.
+
+        An edge lies in a radius-``r`` ball iff its nearer endpoint is at
+        distance ``< r`` from the center (Definition 2.1), so :meth:`run`
+        wraps at radius ``max(1, max_i min(d_i, d_{i+1}) + 1)`` over the
+        cycle's consecutive nodes.  ``None`` (the per-target path, which
+        raises :meth:`run`'s exact error) when a walk meets a node without
+        a forward port or never returns, a charge exceeds the declared
+        radius, or the targets' charges differ; subclasses that override
+        :meth:`run` keep the per-target path.
+        """
+        if type(self).run is not DimensionLengthProbe.run or inputs is None:
+            return None
+        num_nodes = graph.num_nodes
+        forward: List[Optional[int]] = []
+        for v in range(num_nodes):
+            successor = None
+            for port, (u, _) in enumerate(graph.port_entries(v)):
+                if inputs.get((v, port)) == (0, +1):
+                    successor = u
+                    break
+            forward.append(successor)
+        limit = self.radius(declared_n)
+        charges: Set[int] = set()
+        outputs: List[Dict[int, Any]] = []
+        for target in targets:
+            cycle = [target]
+            current = forward[target]
+            while current != target:
+                if current is None or len(cycle) >= num_nodes:
+                    return None
+                cycle.append(current)
+                current = forward[current]
+            distance = self._distances_to(graph, target, set(cycle))
+            reach = max(
+                min(distance[u], distance[w]) for u, w in zip(cycle, cycle[1:] + cycle[:1])
+            )
+            radius = max(1, reach + 1)
+            if radius > limit:
+                return None
+            charges.add(radius)
+            outputs.append({port: len(cycle) for port in range(graph.degree(target))})
+        if len(charges) != 1:
+            return None
+        return charges.pop(), outputs
+
+    @staticmethod
+    def _distances_to(graph: Graph, source: int, wanted: Set[int]) -> Dict[int, int]:
+        """BFS distances from ``source``, stopped once every node of
+        ``wanted`` (which must be reachable) has one."""
+        distance = {source: 0}
+        missing = len(wanted) - 1
+        frontier = [source]
+        d = 0
+        while missing:
+            d += 1
+            layer = []
+            for v in frontier:
+                for u, _ in graph.port_entries(v):
+                    if u not in distance:
+                        distance[u] = d
+                        layer.append(u)
+                        if u in wanted:
+                            missing -= 1
+            frontier = layer
+        return distance
 
     def run(self, ctx: NodeContext) -> Dict[int, Any]:
         limit = self.radius(ctx.declared_n)
@@ -181,13 +266,17 @@ class DimensionLengthProbe(LocalAlgorithm):
             current, steps = self._walk(ball, current, steps)
             if current == 0 and steps:
                 return {port: steps for port in range(ball.center_degree())}
-        raise AlgorithmError("dimension-0 line never wrapped; not a torus?")
+        raise AlgorithmError(NEVER_WRAPPED)
 
     @staticmethod
     def _walk(ball, current: int, steps: int) -> Tuple[int, int]:
         """Follow dimension 0 forward from local node ``current`` (``steps``
         steps from the center) until the walk is back at the center or
-        would leave ``ball``; the node reached and the steps taken in all."""
+        would leave ``ball``; the node reached and the steps taken in all.
+
+        A walk of ``ball.num_nodes`` steps inside the ball has revisited a
+        node other than the center: it circles a cycle that skips the
+        center, in every wider ball too, so it raises at once."""
         while True:
             forward_port = None
             for port in range(ball.degrees[current]):
@@ -204,3 +293,5 @@ class DimensionLengthProbe(LocalAlgorithm):
             steps += 1
             if current == 0:
                 return current, steps
+            if steps >= ball.num_nodes:
+                raise AlgorithmError(NEVER_WRAPPED)

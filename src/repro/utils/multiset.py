@@ -107,6 +107,11 @@ class Multiset:
         multiset._hash = hash(multiset._items)
         return multiset
 
+    def __reduce__(self) -> tuple:
+        # Rebuild from the items: the cached hash depends on the process's
+        # string hash seed, so it must not travel with a pickle.
+        return (type(self), (self._items,))
+
     @property
     def items(self) -> tuple[Any, ...]:
         """The elements in canonical (sorted) order, with multiplicity."""

@@ -39,46 +39,57 @@ from repro.lcl.codec import decode_label, encode_label
 from repro.lcl.nec import NodeEdgeCheckableLCL
 from repro.utils.multiset import Multiset, label_sort_key
 
+
 def self_looped_cliques(problem: NodeEdgeCheckableLCL) -> List[FrozenSet[Any]]:
     """All maximal cliques of the edge-compatibility graph restricted to
     self-looped labels, in a deterministic order.
 
-    Independent of the engine's Bron–Kerbosch implementation: plain
-    ordered expansion with an explicit maximality filter.  Post-hygiene
-    alphabets are small, so quadratic bookkeeping is irrelevant here and
-    the straight-line code doubles as a cross-check of the engine's
-    pivoted search.
+    Independent of the engine's search (this module imports no engine
+    code): pivoted Bron–Kerbosch over bit masks of the labels' positions
+    in :func:`label_sort_key` order, so it lists only maximal cliques, then
+    the cliques sorted by their tuples of positions.
     """
     vertices = [
         label
         for label in sorted(problem.sigma_out, key=label_sort_key)
         if problem.allows_edge(label, label)
     ]
-    adjacency: Dict[Any, FrozenSet[Any]] = {
-        v: frozenset(u for u in vertices if u != v and problem.allows_edge(u, v))
-        for v in vertices
-    }
+    neighbors = [
+        sum(
+            1 << j
+            for j, u in enumerate(vertices)
+            if j != i and problem.allows_edge(u, v)
+        )
+        for i, v in enumerate(vertices)
+    ]
+    found: List[Tuple[int, ...]] = []
+
+    def expand(clique: Tuple[int, ...], p: int, x: int) -> None:
+        if not p | x:
+            found.append(tuple(sorted(clique)))
+            return
+        pivot = max(_bits(p | x), key=lambda u: (neighbors[u] & p).bit_count())
+        for v in _bits(p & ~neighbors[pivot]):
+            expand(clique + (v,), p & neighbors[v], x & neighbors[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    if vertices:
+        expand((), (1 << len(vertices)) - 1, 0)
     cliques: List[FrozenSet[Any]] = []
-
-    def expand(clique: Tuple[Any, ...], candidates: List[Any]) -> None:
-        extended = False
-        for index, vertex in enumerate(candidates):
-            extended = True
-            expand(
-                clique + (vertex,),
-                [u for u in candidates[index + 1 :] if u in adjacency[vertex]],
-            )
-        if not extended and clique:
-            grown = frozenset(clique)
-            # Maximal iff no vertex outside is adjacent to all members.
-            if not any(
-                grown <= adjacency[v] for v in vertices if v not in grown
-            ):
-                if grown not in cliques:
-                    cliques.append(grown)
-
-    expand((), vertices)
+    for clique in sorted(found):
+        cliques.append(frozenset(vertices[i] for i in clique))
     return cliques
+
+
+def _bits(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    positions: List[int] = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 #: Observable accounting for the candidate hoist in

@@ -175,8 +175,10 @@ def _fresh_extraction(graph, ball, radius, input_labeling=None, ids=None, bits=N
 
 
 def assert_growth_matches_fresh(graph, algorithm, **kwargs):
-    grown = run_local_algorithm(graph, algorithm, **kwargs)
+    # Per-target runs only: a shared execution (the probe's) grows no ball.
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "run_targets", lambda *args: None)
+        grown = run_local_algorithm(graph, algorithm, **kwargs)
         patch.setattr(model, "grow_ball", _fresh_extraction)
         fresh = run_local_algorithm(graph, algorithm, **kwargs)
     assert dict(grown.outputs.items()) == dict(fresh.outputs.items())

@@ -1,6 +1,11 @@
 """Unit and property tests for repro.utils."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,34 @@ from repro.utils import (
     next_prime,
     tower,
 )
+import repro
 from repro.utils.multiset import label_sort_key
+
+#: Pickles a set of multisets to stdout.
+PICKLE_SCRIPT = """
+import pickle, sys
+from repro.utils import Multiset
+members = {Multiset(["a", "b"]), Multiset([frozenset({"x", "y"}), "z", "z"])}
+sys.stdout.buffer.write(pickle.dumps(members))
+"""
+
+#: Loads that pickle from stdin and looks its members up by fresh copies.
+UNPICKLE_SCRIPT = """
+import pickle, sys
+from repro.utils import Multiset
+members = pickle.loads(sys.stdin.buffer.read())
+assert Multiset(["b", "a"]) in members, members
+assert Multiset(["z", frozenset({"y", "x"}), "z"]) in members, members
+print("ok")
+"""
+
+
+def run_with_hash_seed(script, seed, stdin=b""):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script], input=stdin, env=env, capture_output=True, check=True
+    ).stdout
 
 
 # ----------------------------------------------------------------- Multiset
@@ -69,6 +101,16 @@ class TestMultiset:
         key_b = label_sort_key(frozenset({frozenset({"b"})}))
         assert key_a != key_b
         assert sorted([key_a, key_b]) == sorted([key_b, key_a])
+
+    def test_pickle_round_trip(self):
+        m = Multiset([frozenset({"x"}), "a", "a"])
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m) and copy.items == m.items
+
+    def test_pickle_crosses_string_hash_seeds(self):
+        # The cached hash is seeded per process; a pickle must not carry it.
+        payload = run_with_hash_seed(PICKLE_SCRIPT, 1)
+        assert run_with_hash_seed(UNPICKLE_SCRIPT, 2, stdin=payload) == b"ok\n"
 
     @given(st.lists(st.sampled_from("abcde"), max_size=8))
     def test_property_canonical_under_permutation(self, items):
