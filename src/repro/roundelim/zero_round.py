@@ -32,6 +32,7 @@ keeps the visiting order, so the first choice found, and with it every
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -136,6 +137,7 @@ def _cover_with_clique(
     problem: NodeEdgeCheckableLCL,
     clique: FrozenSet[Any],
     degrees: Sequence[int],
+    indexes: _ConfigurationIndexes,
 ) -> Optional[Dict[Tuple[Any, ...], Tuple[Any, ...]]]:
     """Try to build the A_det table using only labels from ``clique``."""
     inputs_sorted = sorted(problem.sigma_in, key=label_sort_key)
@@ -154,7 +156,7 @@ def _cover_with_clique(
         allowed_configurations = problem.node_constraints.get(degree)
         if not allowed_configurations:
             return None
-        partials = _partial_configurations(clique, weights, allowed_configurations)
+        partials = _partial_configurations(clique, weights, indexes.of(degree))
         for input_tuple in itertools.combinations_with_replacement(inputs_sorted, degree):
             candidates = [candidates_of[i] for i in input_tuple]
             choice = _choose_outputs(candidates, weights, partials)
@@ -164,28 +166,58 @@ def _cover_with_clique(
     return table
 
 
+class _ConfigurationIndexes:
+    """Per degree, the problem's allowed configurations filed by label,
+    built on first use and shared by every clique of one search.
+
+    A configuration is filed under one of its labels: the one in the
+    fewest maximal cliques, ties to the first in canonical order.  It
+    lies inside a clique only if that label does, so a clique needs only
+    the buckets of its own labels, and a configuration using a label
+    that is in no clique is never visited.
+    """
+
+    def __init__(self, problem: NodeEdgeCheckableLCL, cliques: Sequence[FrozenSet[Any]]):
+        self._problem = problem
+        self._memberships = Counter(label for clique in cliques for label in clique)
+        self._by_degree: Dict[int, Dict[Any, List[Multiset]]] = {}
+
+    def of(self, degree: int) -> Dict[Any, List[Multiset]]:
+        index = self._by_degree.get(degree)
+        if index is None:
+            index = self._by_degree[degree] = {}
+            memberships = self._memberships
+            for configuration in self._problem.node_constraints[degree]:
+                label = min(configuration.items, key=memberships.__getitem__)
+                index.setdefault(label, []).append(configuration)
+        return index
+
+
 def _partial_configurations(
     clique: FrozenSet[Any],
     weights: Dict[Any, int],
-    allowed_configurations: FrozenSet[Multiset],
+    by_label: Dict[Any, List[Multiset]],
 ) -> Set[int]:
     """The keys of every non-empty sub-multiset of an allowed configuration
-    whose labels all lie in ``clique``.
+    whose labels all lie in ``clique``, visiting only the configurations
+    ``by_label`` files under a clique label (see
+    :class:`_ConfigurationIndexes`).
 
     All configurations of one degree have the same size, so the keys of
     that full size are exactly those of the allowed configurations inside
     ``clique``.
     """
     partials: Set[int] = set()
-    for configuration in allowed_configurations:
-        items = configuration.items
-        if not clique.issuperset(items):
-            continue
-        sums = {0}
-        for label in items:
-            weight = weights[label]
-            sums |= {total + weight for total in sums}
-        partials |= sums
+    for filed in clique:
+        for configuration in by_label.get(filed, ()):
+            items = configuration.items
+            if not clique.issuperset(items):
+                continue
+            sums = {0}
+            for label in items:
+                weight = weights[label]
+                sums |= {total + weight for total in sums}
+            partials |= sums
     partials.discard(0)
     return partials
 
@@ -286,8 +318,9 @@ def _search(
     """
     cliques = _maximal_cliques(problem)
     cliques.sort(key=lambda c: (-len(c), sorted(map(label_sort_key, c))))
+    indexes = _ConfigurationIndexes(problem, cliques)
     for clique in cliques:
-        table = _cover_with_clique(problem, clique, chosen_degrees)
+        table = _cover_with_clique(problem, clique, chosen_degrees, indexes)
         if table is not None:
             return clique, table
     return None

@@ -14,13 +14,15 @@ The moving parts:
 * :mod:`repro.scheduler.queue` — a task queue sharded by canonical
   cell id, with not-before times so retry backoff never blocks a
   worker, and failed or reclaimed cells back at the head of their shard;
+  it dispatches in push order, which the engine makes largest cell
+  first on two or more workers and campaign order otherwise;
 * :mod:`repro.scheduler.leases` — lease records with deadlines renewed
   by worker heartbeats; an expired lease means a dead or stalled
   worker, and its cell is reclaimed and re-dispatched;
 * :mod:`repro.scheduler.worker` — the worker process and the campaign's
   only isolation boundary: one memory cap per worker, one cell attempt
-  at a time in its own process, each completion journaled to its own
-  shard *before* it is reported;
+  at a time inside the worker process, each completion journaled to its
+  own shard *before* it is reported;
 * :mod:`repro.scheduler.engine` — the parent event loop: timeouts,
   worker deaths, reclaims, retries, merge and finalize.
 

@@ -10,6 +10,11 @@ raised:
 
 * cells are dispatched from a queue sharded by canonical cell id, one
   in-flight cell per worker, each under a heartbeat-renewed **lease**;
+  two or more workers take the largest ``spec.n`` first, one worker and
+  the inline case keep campaign order (see :mod:`repro.scheduler.queue`);
+* every runner of the campaign is resolved in the parent before the
+  first fork (:func:`preload_runners`), so workers inherit the
+  simulators loaded rather than importing them per panel;
 * the worker is the isolation boundary: it reports ``started`` just
   before the cell body runs, the engine kills a worker whose started
   cell passes the cell timeout (``timeout``), and a worker that dies on
@@ -69,6 +74,7 @@ from repro.supervisor.cells import (
     STATUS_QUARANTINED,
     CellResult,
     CellSpec,
+    resolve_runner,
 )
 from repro.supervisor.isolation import run_attempt_inline
 from repro.supervisor.journal import CampaignJournal, load_cell_records
@@ -180,6 +186,19 @@ class _WorkerHandle:
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+
+def preload_runners(cells: Sequence[CellSpec]) -> None:
+    """Resolve every distinct runner of ``cells`` in this process, so
+    the modules a runner imports are loaded before any worker forks and
+    every worker (respawns included) inherits them.  A runner that does
+    not resolve is left to the worker, which quarantines its cells like
+    any other failed attempt: preloading never aborts a campaign."""
+    for name in sorted({spec.runner for spec in cells}):
+        try:
+            resolve_runner(name)
+        except Exception as error:
+            logger.debug("runner %r not preloaded: %s", name, error)
 
 
 def _payload_core(body: Dict[str, Any]) -> Dict[str, Any]:
@@ -663,17 +682,28 @@ class _Engine:
             self.stats.respawns += 1
             self._spawn_worker()
 
-    def run(self) -> None:
+    def enqueue(self) -> List[CellSpec]:
+        """Push every cell without a terminal result, in dispatch order:
+        campaign order inline and on one worker, largest ``spec.n``
+        first (stable within equal ``n``) on two or more, so no worker
+        idles behind a big cell at the tail."""
         remaining = [
             spec for spec in self.cells if spec.cell_id() not in self.payloads
         ]
+        if self.target_workers >= 2:
+            remaining.sort(key=lambda spec: -spec.n)
         for spec in remaining:
             self.queue.push(Task(spec=spec))
+        return remaining
+
+    def run(self) -> None:
+        remaining = self.enqueue()
         if not remaining:
             return
         if self.target_workers == 0:
             self._run_inline()
             return
+        preload_runners(remaining)
         for _ in range(min(self.target_workers, len(remaining))):
             self._spawn_worker()
         while len(self.payloads) < len(self.cells):

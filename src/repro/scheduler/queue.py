@@ -1,9 +1,19 @@
 """The scheduler's task queue, sharded by canonical cell id.
 
 Sharding serves determinism, not throughput: a cell's shard is a pure
-function of its canonical id (``sha256(cell_id) % nshards``), so the
-*relative* dispatch order of cells is stable across runs and across
+function of its canonical id (``sha256(cell_id) % nshards``), so which
+cells a backing-off retry holds up is stable across runs and across
 resume boundaries.
+
+Dispatch follows push order across shards: :meth:`ShardedTaskQueue.pop_ready`
+returns, of every shard's first dispatchable task, the one pushed
+earliest.  The engine pushes the remaining cells in campaign order on
+one worker or inline, and largest ``spec.n`` first (stable within equal
+``n``) on two or more, so the biggest cells start first and no worker
+idles behind one at the tail of the campaign (largest-first, or LPT,
+dispatch with ``n`` as the size estimate).  The one-worker and inline
+runs keep campaign order because it is the serial attempt order their
+journal and fault draws are defined by.
 
 A failed or reclaimed cell goes back to the *head* of its shard, and no
 later cell in that shard may overtake it while it backs off.  With one
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.supervisor.cells import CellSpec
 
@@ -42,6 +52,9 @@ class Task:
     delays: List[float] = field(default_factory=list)
     not_before: float = 0.0
     reclaims: int = 0
+    #: Position in the queue's push order, set by the first push; a
+    #: retry keeps it, so dispatch order is push order.
+    order: int = -1
 
     def cell_id(self) -> str:
         return self.spec.cell_id()
@@ -60,12 +73,12 @@ def shard_of(cell_id: str, nshards: int) -> int:
 
 
 class ShardedTaskQueue:
-    """FIFO-per-shard queue with round-robin dispatch across shards."""
+    """FIFO-per-shard queue dispatching in push order across shards."""
 
     def __init__(self, nshards: int):
         self.nshards = max(1, int(nshards))
         self._shards: List[List[Task]] = [[] for _ in range(self.nshards)]
-        self._cursor = 0
+        self._pushed = 0
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -74,6 +87,9 @@ class ShardedTaskQueue:
         """Enqueue ``task`` at the back of its canonical shard, not to
         be dispatched before ``not_before`` (monotonic time)."""
         task.not_before = not_before
+        if task.order < 0:
+            task.order = self._pushed
+            self._pushed += 1
         self._shards[shard_of(task.cell_id(), self.nshards)].append(task)
 
     def retry(self, task: Task, not_before: float) -> None:
@@ -83,22 +99,25 @@ class ShardedTaskQueue:
         self._shards[shard_of(task.cell_id(), self.nshards)].insert(0, task)
 
     def pop_ready(self, now: float) -> Optional[Task]:
-        """The next dispatchable task, round-robining across shards;
-        ``None`` when nothing is ready (the queue may still be
-        non-empty).  Within a shard, tasks still inside their backoff
-        window are skipped — except a retried one, which nothing behind
-        it may overtake."""
-        for offset in range(self.nshards):
-            index = (self._cursor + offset) % self.nshards
-            shard = self._shards[index]
+        """The next dispatchable task: of each shard's first ready task,
+        the earliest pushed; ``None`` when nothing is ready (the queue
+        may still be non-empty).  Within a shard, tasks still inside
+        their backoff window are skipped — except a retried one, which
+        nothing behind it may overtake."""
+        best: Optional[Tuple[Task, List[Task], int]] = None
+        for shard in self._shards:
             for position, task in enumerate(shard):
                 if task.not_before <= now:
-                    shard.pop(position)
-                    self._cursor = (index + 1) % self.nshards
-                    return task
+                    if best is None or task.order < best[0].order:
+                        best = (task, shard, position)
+                    break
                 if task.retried:
                     break
-        return None
+        if best is None:
+            return None
+        task, shard, position = best
+        del shard[position]
+        return task
 
     def next_ready_at(self) -> Optional[float]:
         """The earliest time :meth:`pop_ready` can return a task, or

@@ -4,8 +4,10 @@ A worker is a forked, daemonic child of the campaign engine.  It applies
 the campaign's address-space cap once when it starts (so the cap covers
 the whole worker, including whatever earlier cells left allocated),
 then loops over dispatch messages from its pipe and runs each cell
-attempt in its own process through
-:func:`repro.supervisor.isolation.run_attempt_process`.  Just before the
+attempt inside the worker process through
+:func:`repro.supervisor.isolation.run_attempt_process`.  The parent
+resolved every cell runner before forking, so the simulators are already
+imported here.  Just before the
 cell body runs it reports ``started``: from then on the engine owns the
 attempt's fate.  It kills the worker when the cell overruns its
 timeout (``timeout``) and classifies a worker that dies on its own from

@@ -19,8 +19,10 @@ round-elimination engine underneath it:
   campaign: the campaign engine (:mod:`repro.scheduler.engine`) on one
   worker or inline, with bounded deterministic retries, structured
   quarantine and journaled resume;
-* :mod:`repro.supervisor.measurements` — the built-in landscape panel
-  runners (``lcl-landscape landscape --journal/--resume``).
+* :mod:`repro.supervisor.measurements` — the landscape panels as
+  campaign plans (``lcl-landscape landscape --journal/--resume``);
+* :mod:`repro.supervisor.runners` — the built-in landscape cell runners
+  and the simulators they import.
 
 The chaos contract (enforced by ``tests/test_supervisor_chaos.py`` and
 the CI chaos job): a campaign run under injected ``sim_crash`` /

@@ -65,11 +65,11 @@ def register_runner(name: str) -> Callable[[CellRunner], CellRunner]:
 
 
 def resolve_runner(name: str) -> CellRunner:
-    """Look up a registered runner (importing the built-in measurement
+    """Look up a registered runner (importing the built-in landscape
     runners on first use, so journal-driven resumes work from a cold
     interpreter)."""
     if name not in _RUNNERS:
-        from repro.supervisor import measurements  # noqa: F401  (registers)
+        from repro.supervisor import runners  # noqa: F401  (registers)
     runner = _RUNNERS.get(name)
     if runner is None:
         known = ", ".join(sorted(_RUNNERS))

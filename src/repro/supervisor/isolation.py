@@ -7,11 +7,12 @@ campaign engine (:mod:`repro.scheduler.engine`):
   scheduler worker (:mod:`repro.scheduler.worker`) is the isolation
   boundary.  It applies the optional ``resource.setrlimit`` address-space
   cap (:func:`apply_memory_cap`) once when it starts and then runs every
-  attempt in its own process.  The engine enforces the wall-clock
-  timeout by killing the worker, and classifies a worker that dies while
-  running a cell from its exit code (``signal`` for a signal death,
-  ``lost`` otherwise), so a hung, crashing or memory-hungry simulation
-  costs one attempt, never the campaign;
+  attempt inside the worker process, one after another.  The engine
+  enforces the wall-clock timeout by killing the worker, and classifies
+  a worker that dies while running a cell from its exit code
+  (``signal`` for a signal death, ``lost`` otherwise), so a hung,
+  crashing or memory-hungry simulation costs one attempt, never the
+  campaign;
 * **inline** (:func:`run_attempt_inline`) — in the calling process, the
   clean-serial baseline and the fast path for trusted local runs.
   Inline cells skip ``sim_hang`` instructions (there is no kill path to

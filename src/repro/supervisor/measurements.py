@@ -1,122 +1,26 @@
-"""Built-in cell runners and panel plans for landscape campaigns.
+"""Panel plans for landscape campaigns.
 
-This module turns the Figure-1 measurement code that used to live
-inline in ``cmd_landscape`` into *registered, importable cell runners*
-(:func:`repro.supervisor.cells.register_runner`), so each
-``(series, n)`` measurement can run as a supervised, crash-isolated,
-journaled campaign cell — and re-resolve by name inside a worker
-process or a cold resume.
-
-The measured values are identical to the pre-supervisor CLI: the same
-graphs, the same explicit seeds (``seed = n`` / ``seed = side``), the
-same sampled-node localities.  Supervision changes who survives a bad
-cell, never what a good cell measures.
+Each measured Figure-1 panel is a campaign: one cell per ``(series,
+n)``, run by the registered cell runners of
+:mod:`repro.supervisor.runners` (resolved by name, so this module never
+imports the simulators and stays cheap to import).
+:func:`assemble_panel` turns the campaign's report back into the panel,
+holes included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exceptions import SupervisorError
 from repro.landscape import LandscapePanel
 from repro.supervisor.campaign import CampaignReport
-from repro.supervisor.cells import CellResult, CellSpec, register_runner
-from repro.utils.rng import SplittableRNG
+from repro.supervisor.cells import CellResult, CellSpec
 
 #: Panels measurable as supervised campaigns (the ``re`` panel is a
 #: budgeted decision procedure, not a cell grid — it keeps its own path).
 MEASURED_PANELS = ("trees", "grids", "volume")
-
-
-# ------------------------------------------------------------------ runners
-def _sampled_locality(graph: Any, algorithm: Any, seed: int) -> int:
-    from repro.graphs.ids import random_ids
-    from repro.local.model import run_local_algorithm
-
-    nodes = list(range(0, graph.num_nodes, max(1, graph.num_nodes // 8)))
-    result = run_local_algorithm(
-        graph, algorithm, ids=random_ids(graph, seed=seed), nodes=nodes
-    )
-    return max(result.radius_per_node)
-
-
-@register_runner("landscape.trees")
-def run_tree_cell(spec: CellSpec, rng: SplittableRNG) -> int:
-    """Measured locality of one tree-panel series at one ``n``."""
-    from repro.graphs import random_tree
-    from repro.local.algorithms import LinialColoring, TwoHopMaxDegree
-
-    graph = random_tree(spec.n, 3, seed=spec.n)
-    if spec.problem == "two-hop-max-degree":
-        return _sampled_locality(graph, TwoHopMaxDegree(), spec.seed)
-    if spec.problem == "linial-coloring":
-        return _sampled_locality(graph, LinialColoring(3), spec.seed)
-    raise SupervisorError(f"unknown trees-panel series {spec.problem!r}")
-
-
-@register_runner("landscape.volume")
-def run_volume_cell(spec: CellSpec, rng: SplittableRNG) -> int:
-    """Probes used by one VOLUME-panel series at one ``n``."""
-    from repro.graphs import cycle
-    from repro.graphs.ids import random_ids
-    from repro.local.algorithms.cole_vishkin import orient_path_inputs
-    from repro.volume import (
-        ChainColeVishkin,
-        ComponentCount,
-        NeighborhoodAggregate,
-        run_volume_algorithm,
-    )
-
-    builders = {
-        "neighborhood-max-degree": (lambda: NeighborhoodAggregate(2), False),
-        "chain-CV-3-coloring": (ChainColeVishkin, True),
-        "component-count": (ComponentCount, False),
-    }
-    if spec.problem not in builders:
-        raise SupervisorError(f"unknown volume-panel series {spec.problem!r}")
-    build, needs_orientation = builders[spec.problem]
-    graph = cycle(spec.n)
-    inputs = orient_path_inputs(graph) if needs_orientation else None
-    result = run_volume_algorithm(
-        graph, build(), inputs=inputs, ids=random_ids(graph, seed=spec.seed)
-    )
-    return result.max_probes_used
-
-
-@register_runner("landscape.grids")
-def run_grid_cell(spec: CellSpec, rng: SplittableRNG) -> int:
-    """Measured locality of one grid-panel series at one side length."""
-    from repro.grids import (
-        DimensionLengthProbe,
-        FollowDimensionOrientation,
-        GridProductColoring,
-        OrientedGrid,
-        prod_ids,
-    )
-    from repro.local.model import run_local_algorithm
-
-    side = int(spec.param("side", 0))
-    if side <= 0:
-        raise SupervisorError(f"grid cell {spec.cell_id()} lacks a side parameter")
-    grid = OrientedGrid([side, side])
-    inputs = grid.orientation_inputs()
-    if spec.problem == "follow-orientation":
-        result = run_local_algorithm(
-            grid.graph, FollowDimensionOrientation(), inputs=inputs
-        )
-    elif spec.problem == "product-CV-coloring":
-        result = run_local_algorithm(
-            grid.graph,
-            GridProductColoring(dimensions=2),
-            inputs=inputs,
-            ids=prod_ids(grid, seed=side),
-        )
-    elif spec.problem == "dim0-side-length":
-        result = run_local_algorithm(grid.graph, DimensionLengthProbe(), inputs=inputs)
-    else:
-        raise SupervisorError(f"unknown grids-panel series {spec.problem!r}")
-    return result.max_radius_used
 
 
 # -------------------------------------------------------------------- plans

@@ -100,8 +100,9 @@ class TestRoundTrip:
                 problem.allows_edge(a, b) for a, b in itertools.combinations(subset, 2)
             )
         ]
+        indexes = zero_round._ConfigurationIndexes(problem, cliques)
         every_clique = any(
-            zero_round._cover_with_clique(problem, clique, degrees) is not None
+            zero_round._cover_with_clique(problem, clique, degrees, indexes) is not None
             for clique in cliques
         )
         assert decide_zero_round(problem) == every_clique

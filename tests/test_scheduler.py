@@ -31,6 +31,7 @@ from repro.supervisor.backoff import (
 )
 from repro.supervisor.cells import CLASSIFICATIONS
 from repro.supervisor.journal import ShardWriter, load_cell_records
+from repro.supervisor.measurements import plan_panel
 from repro.utils import faults
 
 
@@ -164,7 +165,7 @@ class TestShardedTaskQueue:
             assert shard_of(spec.cell_id(), 4) == shard_of(spec.cell_id(), 4)
         assert 0 <= shard_of("x", 3) < 3
 
-    def test_fifo_within_shard_round_robin_across(self):
+    def test_fifo_within_shard_push_order_across(self):
         queue = ShardedTaskQueue(nshards=2)
         for spec in CELLS:
             queue.push(Task(spec=spec))
@@ -172,7 +173,9 @@ class TestShardedTaskQueue:
         while len(queue):
             task = queue.pop_ready(now=0.0)
             popped.append(task.cell_id())
-        assert sorted(popped) == sorted(spec.cell_id() for spec in CELLS)
+        # Both shards hold cells, and across them dispatch is push order.
+        assert {shard_of(cell_id, 2) for cell_id in popped} == {0, 1}
+        assert popped == [spec.cell_id() for spec in CELLS]
         # Within each shard, campaign order is preserved.
         by_shard = {}
         for cell_id in popped:
@@ -230,13 +233,88 @@ class TestShardedTaskQueue:
         queue = ShardedTaskQueue(nshards=2)
         for spec in blocked[:2] + free[:1]:
             queue.push(Task(spec=spec))
-        failed = self._failed(queue, now=0.0)  # the round-robin starts at shard 0
+        failed = self._failed(queue, now=0.0)  # the first push pops first
         assert failed.spec == blocked[0]
         queue.retry(failed, not_before=10.0)
         assert queue.pop_ready(now=5.0).cell_id() == free[0].cell_id()
         assert queue.pop_ready(now=5.0) is None
         assert queue.pop_ready(now=10.0).cell_id() == blocked[0].cell_id()
         assert queue.pop_ready(now=10.0).cell_id() == blocked[1].cell_id()
+
+
+    def test_retried_head_keeps_its_place_in_push_order(self):
+        first = [s for s in CELLS if shard_of(s.cell_id(), 2) == 0][0]
+        later = [s for s in CELLS if shard_of(s.cell_id(), 2) == 1][:2]
+        queue = ShardedTaskQueue(nshards=2)
+        for spec in [first] + later:
+            queue.push(Task(spec=spec))
+        queue.retry(self._failed(queue, now=0.0), not_before=10.0)
+        assert queue.pop_ready(now=5.0).cell_id() == later[0].cell_id()
+        # Ready again, the retried cell precedes every later push.
+        assert queue.pop_ready(now=10.0).cell_id() == first.cell_id()
+        assert queue.pop_ready(now=10.0).cell_id() == later[1].cell_id()
+
+
+# --------------------------------------------------------- dispatch order
+def _engine(cells, workers):
+    return engine_module._Engine(
+        cells=cells,
+        config=CampaignConfig(seed=0),
+        scheduler=SchedulerConfig(),
+        workers=workers,
+        journal=None,
+        progress=None,
+        halt_after=None,
+    )
+
+
+def _dispatch_order(engine):
+    """The engine's pushes, popped as its dispatch loop would pop them
+    (no worker is spawned)."""
+    engine.enqueue()
+    order = []
+    while len(engine.queue):
+        order.append(engine.queue.pop_ready(now=float("inf")).spec)
+    return order
+
+
+#: Every measured panel's cells (equal ``n`` across series), plus cells
+#: of equal ``n`` out of id order, so stability is visible.
+DISPATCH_CASES = {
+    panel: plan_panel(panel, 4).cells for panel in ("trees", "volume", "grids")
+}
+DISPATCH_CASES["ties"] = [
+    CellSpec.make("sched.bits", problem, n, seed=n)
+    for n in (2, 5, 5, 9, 2, 9)
+    for problem in ("z", "a")
+]
+
+
+class TestDispatchOrder:
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
+    def test_two_or_more_workers_take_the_largest_n_first(self, case, workers):
+        cells = DISPATCH_CASES[case]
+        order = _dispatch_order(_engine(cells, workers))
+        # ``sorted`` is stable: equal n keep campaign order.
+        assert order == sorted(cells, key=lambda spec: -spec.n)
+        assert order != cells
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
+    def test_one_worker_and_inline_keep_campaign_order(self, case, workers):
+        cells = DISPATCH_CASES[case]
+        assert _dispatch_order(_engine(cells, workers)) == cells
+
+    def test_journaled_cells_are_not_pushed(self):
+        cells = DISPATCH_CASES["trees"]
+        engine = _engine(cells, 2)
+        done = cells[-1].cell_id()
+        engine.payloads[done] = {"cell": done}
+        order = _dispatch_order(engine)
+        assert [spec.cell_id() for spec in order] == [
+            spec.cell_id() for spec in sorted(cells[:-1], key=lambda s: -s.n)
+        ]
 
 
 # ------------------------------------------------------------------ shards

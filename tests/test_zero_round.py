@@ -209,6 +209,46 @@ def exhaustive_search(problem, chosen_degrees):
     return None
 
 
+def scan_partial_configurations(clique, weights, allowed_configurations):
+    """``zero_round._partial_configurations`` as it was before the label
+    index: every configuration of the degree, scanned once per clique."""
+    partials = set()
+    for configuration in allowed_configurations:
+        items = configuration.items
+        if not clique.issuperset(items):
+            continue
+        sums = {0}
+        for label in items:
+            weight = weights[label]
+            sums |= {total + weight for total in sums}
+        partials |= sums
+    partials.discard(0)
+    return partials
+
+
+def assert_same_partials(problem):
+    """The indexed partial configurations equal the full scan's, for
+    every maximal clique and every degree the problem constrains."""
+    cliques = zero_round._maximal_cliques(problem)
+    indexes = zero_round._ConfigurationIndexes(problem, cliques)
+    degrees = sorted(problem.node_constraints)
+    base = max(degrees, default=0) + 1
+    compared = 0
+    for clique in cliques:
+        ordered = sorted(clique, key=label_sort_key)
+        weights = {label: base**position for position, label in enumerate(ordered)}
+        for degree in degrees:
+            indexed = zero_round._partial_configurations(
+                clique, weights, indexes.of(degree)
+            )
+            scanned = scan_partial_configurations(
+                clique, weights, problem.node_constraints[degree]
+            )
+            assert indexed == scanned, (problem.name, ordered, degree)
+            compared += bool(scanned)
+    return compared
+
+
 def assert_same_search(problem, chosen_degrees):
     pruned = zero_round._search.__wrapped__(problem, chosen_degrees)
     assert pruned == exhaustive_search(problem, chosen_degrees), problem.name
@@ -283,3 +323,25 @@ class TestPrunedSearchDifferential:
         problem = catalog.trivial(3)
         for degrees in [(4,), (1, 5), (2, 3)]:
             assert_same_search(problem, degrees)
+
+
+class TestIndexedPartialConfigurations:
+    """The label index of the cover search against the full scan it
+    replaced (kept above as :func:`scan_partial_configurations`)."""
+
+    @pytest.mark.parametrize(
+        "max_degree, name, step", WALK_CASES, ids=[f"{d}-{n}-f{k}" for d, n, k in WALK_CASES]
+    )
+    def test_catalog_walk_problems(self, max_degree, name, step):
+        assert_same_partials(walk_problem(max_degree, name, step))
+
+    def test_four_coloring_step_problem(self):
+        # 76 cliques: each holds degree-1 configurations, none a degree-2
+        # or degree-3 one.
+        assert assert_same_partials(walk_problem(3, "4-coloring", 1)) == 76
+
+    def test_random_population(self):
+        compared = sum(
+            assert_same_partials(problem) for problem, _, _ in random_population(200)
+        )
+        assert compared >= 200
