@@ -183,7 +183,7 @@ class WholeProgram:
                 taints.setdefault(kind, (_step(rel_path, line, desc),))
             elif tag == "unordered":
                 unordered = True
-            elif tag in ("call", "lcall", "mcall"):
+            elif tag in ("call", "lcall", "mcall", "ecall"):
                 _, candidate, line = dep
                 for target in self.resolve(candidate):
                     summary = self.summaries[target]
@@ -216,7 +216,8 @@ class WholeProgram:
                                     ),
                                 ),
                             )
-            # ("param", name) and ("fref", ...) carry no taint here.
+            # ("param", name), ("fref", ...) and ("eunordered", ...)
+            # carry no taint here.
         return taints, unordered
 
     # -- fixed point --------------------------------------------------------

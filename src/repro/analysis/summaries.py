@@ -23,6 +23,11 @@ Dependency facts ("deps") are small tagged tuples:
                                iteration / materialization
 ``("call", key, line)``        value derives from the return of project
                                function ``key`` (resolved candidates)
+``("ecall", key, line)``       value is an ordered sequence whose
+                               *elements* derive from that return: its
+                               taints, but not its container-ness
+``("eunordered", line, d)``    value is an ordered sequence of unordered
+                               containers; iterating it yields them
 ``("param", name)``            value derives from this function's param
 ``("fref", key, line)``        value *is* a reference to project function
                                ``key`` (fork-root discovery)
@@ -404,7 +409,7 @@ class _FunctionAnalyzer:
             return
         if isinstance(stmt, ast.For):
             iter_deps = self._deps(stmt.iter)
-            target_deps = set(_mark_materialized(iter_deps))
+            target_deps = set(_iterated(iter_deps))
             unordered = _first_unordered(iter_deps)
             if unordered is not None:
                 target_deps.add(
@@ -497,7 +502,10 @@ class _FunctionAnalyzer:
             inner = self._comprehension_deps(node, [node.elt])
             return _drop_order(inner) | {("unordered", node.lineno, "a set comprehension")}
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return self._comprehension_deps(node, [node.elt])
+            # A sequence's order comes from its generators: elements that
+            # are unordered containers (``[frozenset(c) for c in ...]``)
+            # leave the sequence itself ordered.
+            return self._comprehension_deps(node, [node.elt], sequence=True)
         if isinstance(node, ast.DictComp):
             return self._comprehension_deps(node, [node.key, node.value])
         if isinstance(node, ast.Lambda):
@@ -544,11 +552,13 @@ class _FunctionAnalyzer:
             candidates.append(self.module_functions[name])
         return candidates
 
-    def _comprehension_deps(self, node: ast.expr, elements: Sequence[ast.expr]) -> DepSet:
+    def _comprehension_deps(
+        self, node: ast.expr, elements: Sequence[ast.expr], sequence: bool = False
+    ) -> DepSet:
         deps: Set[Dep] = set()
         for gen in node.generators:
             iter_deps = self._deps(gen.iter)
-            target_deps = set(_mark_materialized(iter_deps))
+            target_deps = set(_iterated(iter_deps))
             unordered = _first_unordered(iter_deps)
             if unordered is not None:
                 taint = (
@@ -564,7 +574,8 @@ class _FunctionAnalyzer:
             for cond in gen.ifs:
                 deps |= self._deps(cond)
         for element in elements:
-            deps |= self._deps(element)
+            element_deps = self._deps(element)
+            deps |= _sequence_of(element_deps) if sequence else element_deps
         return frozenset(deps)
 
     # -- calls --------------------------------------------------------------
@@ -746,6 +757,28 @@ def _drop_order(deps: DepSet) -> DepSet:
         else:
             kept.add(dep)
     return frozenset(kept)
+
+
+#: Element facts: a sequence's elements are unordered containers (or a
+#: callee's possibly unordered return); the sequence itself is not.
+_AS_ELEMENT = {"unordered": "eunordered", "call": "ecall"}
+_OF_ELEMENT = {element: tag for tag, element in _AS_ELEMENT.items()}
+
+
+def _sequence_of(deps: DepSet) -> DepSet:
+    """The deps of an ordered sequence of values with ``deps``: their
+    taints, with their container-ness kept as element facts — a list of
+    frozensets is not itself unordered."""
+    return frozenset((_AS_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in deps)
+
+
+def _iterated(deps: DepSet) -> DepSet:
+    """The deps of the values an iteration over ``deps`` yields: call
+    deps materialized, and a sequence's element facts become the
+    container-ness of what the iteration yields."""
+    return frozenset(
+        (_OF_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in _mark_materialized(deps)
+    )
 
 
 def _mark_materialized(deps: DepSet) -> DepSet:

@@ -76,10 +76,7 @@ def self_looped_cliques(problem: NodeEdgeCheckableLCL) -> List[FrozenSet[Any]]:
 
     if vertices:
         expand((), (1 << len(vertices)) - 1, 0)
-    cliques: List[FrozenSet[Any]] = []
-    for clique in sorted(found):
-        cliques.append(frozenset(vertices[i] for i in clique))
-    return cliques
+    return [frozenset(vertices[i] for i in clique) for clique in sorted(found)]
 
 
 def _bits(mask: int) -> List[int]:

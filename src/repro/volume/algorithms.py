@@ -10,11 +10,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import AlgorithmError, ProbeError
 from repro.local.algorithms.cole_vishkin import PREDECESSOR, SUCCESSOR, palette_schedule
-from repro.volume.model import NodeTuple, VolumeAlgorithm, VolumeQuery
+from repro.volume.model import NodeTuple, ProbeOracle, VolumeAlgorithm, VolumeQuery
 
 
 def _port_with_label(node_tuple: NodeTuple, label: Any) -> Optional[int]:
@@ -154,11 +154,13 @@ class ComponentCount(VolumeAlgorithm):
     name = "component-count"
 
     def probes(self, n: int) -> int:
-        # BFS probes every half-edge once: <= 2 * edges <= Δ n; declare a
-        # generous linear budget.
+        # The DFS probes every half-edge once: <= 2 * edges <= Δ n; declare
+        # a generous linear budget.
         return max(1, 4 * n)
 
     def answer(self, query: VolumeQuery) -> Dict[int, Any]:
+        # DFS from the queried node, probing every port of every node it
+        # reaches: the query's probes are the component's degree sum.
         seen_ids = {query.start_tuple.identifier}
         frontier = [(0, query.start_tuple)]
         while frontier:
@@ -170,3 +172,31 @@ class ComponentCount(VolumeAlgorithm):
                     frontier.append((query.known_count - 1, revealed))
         size = len(seen_ids)
         return {port: size for port in range(query.start_tuple.degree)}
+
+    def answer_all(
+        self, oracle: ProbeOracle, budget: int, declared_n: int
+    ) -> Optional[Tuple[List[Dict[int, Any]], List[int]]]:
+        """One traversal per connected component, shared by all its nodes.
+
+        :meth:`answer` reaches the same component and probes every port of
+        it from any start node, so each node of a component gets its size
+        and the component's degree sum as its probe count.  A component
+        whose degree sum exceeds ``budget`` — a ``declared_n`` too small
+        for the graph — returns ``None``, and the per-node queries raise
+        their :class:`~repro.exceptions.ProbeError`.  Subclasses that
+        override :meth:`answer` keep the per-node path.
+        """
+        if type(self).answer is not ComponentCount.answer:
+            return None
+        graph = oracle.graph
+        outputs: List[Dict[int, Any]] = [{} for _ in range(graph.num_nodes)]
+        probes_used = [0] * graph.num_nodes
+        for component in graph.connected_components():
+            degree_sum = sum(graph.degree(v) for v in component)
+            if degree_sum > budget:
+                return None
+            size = len(component)
+            for v in component:
+                outputs[v] = {port: size for port in range(graph.degree(v))}
+                probes_used[v] = degree_sum
+        return outputs, probes_used

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
-from repro.exceptions import ProbeError, SimulationError
+from repro.exceptions import AlgorithmError, ProbeError, SimulationError
 from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.volume.model import NodeTuple, ProbeOracle, VolumeAlgorithm, VolumeQuery
 
@@ -69,7 +69,11 @@ def run_lca_algorithm(
     algorithm: VolumeAlgorithm,
     inputs: Optional[HalfEdgeLabeling] = None,
 ) -> "LCAResult":
-    """Query an algorithm at every node under the LCA conventions."""
+    """Query an algorithm at every node under the LCA conventions.
+
+    Like :func:`~repro.volume.model.run_volume_algorithm`, it rejects an
+    answer that does not label exactly the queried node's ports.
+    """
     ids = list(range(1, graph.num_nodes + 1))
     oracle = LCAOracle(graph, inputs, ids)
     budget = algorithm.probes(graph.num_nodes)
@@ -80,9 +84,14 @@ def run_lca_algorithm(
             probes_per_node.append(0)
             continue
         query = LCAQuery(oracle, v, budget=budget, declared_n=graph.num_nodes)
-        for port, label in algorithm.answer(query).items():
-            outputs[(v, port)] = label
+        port_outputs = algorithm.answer(query)
         probes_per_node.append(query.probes_used)
+        if set(port_outputs) != set(range(graph.degree(v))):
+            raise AlgorithmError(
+                f"{algorithm.name} must label exactly the ports of node {v}"
+            )
+        for port, label in port_outputs.items():
+            outputs[(v, port)] = label
     return LCAResult(
         outputs=outputs,
         max_probes_used=max(probes_per_node, default=0),

@@ -12,6 +12,16 @@ and the regime where the paper shows the landscape collapses to
 The oracle counts every probe and enforces the declared budget, so the
 benchmark's probe-complexity measurements come from the same accounting
 that the correctness tests run under.
+
+:func:`run_volume_algorithm` first offers the algorithm every node at
+once (:meth:`VolumeAlgorithm.answer_all`):
+:class:`~repro.volume.algorithms.ComponentCount` walks each connected
+component once and hands every node of it the size and the probe count
+its own walk would report, instead of repeating the whole-component walk
+from each node.  Otherwise — or if that shared execution raises —
+:meth:`VolumeAlgorithm.answer` runs one :class:`VolumeQuery` per node,
+which is also the shared execution's oracle and reports the first error
+exactly as a per-node run does.
 """
 
 from __future__ import annotations
@@ -133,6 +143,20 @@ class VolumeAlgorithm(abc.ABC):
     def answer(self, query: VolumeQuery) -> Dict[int, Any]:
         """Output labels for the queried node's ports."""
 
+    def answer_all(
+        self, oracle: ProbeOracle, budget: int, declared_n: int
+    ) -> Optional[Tuple[List[Dict[int, Any]], List[int]]]:
+        """Every node's answer from one execution shared by all queries.
+
+        Returns ``(outputs, probes_used)``, both indexed by node: the port
+        outputs :meth:`answer` returns at each node and the probes its
+        query uses there (``{}`` and ``0`` at isolated nodes, which are
+        never queried).  The default ``None`` makes the simulator query
+        :meth:`answer` at each node instead; so must an implementation
+        whose per-node queries would exceed ``budget``.
+        """
+        return None
+
 
 class FunctionalVolumeAlgorithm(VolumeAlgorithm):
     """Definition 2.9, literally: a family of probe functions.
@@ -190,23 +214,37 @@ def run_volume_algorithm(
 ) -> VolumeResult:
     """Query ``algorithm`` at every node and collect the labeling.
 
-    ``declared_n`` supports the Theorem 2.11 fooling; identifiers default
-    to ``1 .. n`` (the LCA convention) when not supplied.
+    One shared execution (:meth:`VolumeAlgorithm.answer_all`) answers
+    every node when the algorithm offers it; otherwise each node runs its
+    own query.  ``declared_n`` supports the Theorem 2.11 fooling;
+    identifiers default to ``1 .. n`` (the LCA convention) when not
+    supplied.
     """
     n = graph.num_nodes if declared_n is None else declared_n
     if ids is None:
         ids = list(range(1, graph.num_nodes + 1))
     oracle = ProbeOracle(graph, inputs, ids)
     budget = algorithm.probes(n)
+    try:
+        shared = algorithm.answer_all(oracle, budget, n)
+    except Exception:
+        # The per-node queries below repeat the same deterministic walks
+        # in node order, so they re-raise the first failure exactly as a
+        # run without the shared execution would.
+        shared = None
     outputs = HalfEdgeLabeling(graph)
     probes_per_node: List[int] = []
     for v in range(graph.num_nodes):
         if graph.degree(v) == 0:
             probes_per_node.append(0)
             continue
-        query = VolumeQuery(oracle, v, budget=budget, declared_n=n)
-        port_outputs = algorithm.answer(query)
-        probes_per_node.append(query.probes_used)
+        if shared is not None:
+            port_outputs = shared[0][v]
+            probes_per_node.append(shared[1][v])
+        else:
+            query = VolumeQuery(oracle, v, budget=budget, declared_n=n)
+            port_outputs = algorithm.answer(query)
+            probes_per_node.append(query.probes_used)
         if set(port_outputs) != set(range(graph.degree(v))):
             raise AlgorithmError(
                 f"{algorithm.name} must label exactly the ports of node {v}"

@@ -166,6 +166,85 @@ class TestDeepTaintFlow:
         result = lint(tmp_path)
         assert by_code(result, "REP010") == []
 
+    def test_list_of_unordered_elements_is_ordered(self, tmp_path):
+        """A list comprehension's order comes from its generators: a
+        helper returning ``[frozenset(...) for ...]`` over an ordered
+        source is not an unordered container, so a caller that iterates
+        it and sorts each element before encoding stays clean."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/helpers.py": """
+                    def groups(rows):
+                        return [frozenset(row) for row in sorted(rows)]
+                """,
+                "pkg/encode.py": """
+                    from pkg.helpers import groups
+
+                    def encode_payload(payload):
+                        return "|".join(payload).encode()
+
+                    def publish(rows):
+                        return [encode_payload(sorted(g)) for g in groups(rows)]
+                """,
+            },
+        )
+        result = lint(tmp_path, select=["REP010"])
+        assert result.findings == [], [f.render() for f in result.findings]
+
+    def test_list_comprehension_over_a_set_still_fires(self, tmp_path):
+        """The generator, not the element, decides: ``[x for x in s]``
+        over a set is order-tainted wherever it reaches a sink."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/helpers.py": """
+                    def collect(rows):
+                        seen = {row.strip() for row in rows}
+                        return [x for x in seen]
+                """,
+                "pkg/encode.py": """
+                    from pkg.helpers import collect
+
+                    def encode_payload(payload):
+                        return "|".join(payload).encode()
+
+                    def publish(rows):
+                        return encode_payload(collect(rows))
+                """,
+            },
+        )
+        hits = by_code(lint(tmp_path, select=["REP010"]), "REP010")
+        assert hits, "a list comprehension over a set lost its order taint"
+        assert hits[0].path == "pkg/encode.py"
+        assert "set-order" in hits[0].message
+
+    def test_iterating_an_unordered_element_still_fires(self, tmp_path):
+        """The elements keep their container-ness: materializing one of
+        the frozensets of a list comprehension is order-tainted."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/helpers.py": """
+                    def members(rows):
+                        groups = [frozenset(row) for row in sorted(rows)]
+                        return [list(g) for g in groups]
+                """,
+                "pkg/encode.py": """
+                    from pkg.helpers import members
+
+                    def encode_payload(payload):
+                        return "|".join(payload).encode()
+
+                    def publish(rows):
+                        return encode_payload(members(rows))
+                """,
+            },
+        )
+        hits = by_code(lint(tmp_path, select=["REP010"]), "REP010")
+        assert hits, "materializing a frozenset element was missed"
+        assert "set-order" in hits[0].message
+
     def test_sink_line_suppression_silences_the_whole_chain(self, tmp_path):
         """One suppression at the sink call silences a flow whose origin
         lives two modules away (the satellite-4 contract)."""

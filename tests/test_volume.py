@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ProbeError, SimulationError
+from repro.exceptions import AlgorithmError, ProbeError, SimulationError
 from repro.graphs import HalfEdgeLabeling, cycle, path, random_ids, star
 from repro.lcl import catalog, is_valid_solution
 from repro.local.algorithms.cole_vishkin import orient_path_inputs
@@ -12,6 +12,7 @@ from repro.utils.numbers import iterated_log
 from repro.volume import (
     ChainColeVishkin,
     ComponentCount,
+    FunctionalVolumeAlgorithm,
     NeighborhoodAggregate,
     VolumeQuery,
     check_volume_order_invariance,
@@ -198,6 +199,19 @@ class TestLCA:
             problem, g, HalfEdgeLabeling.constant(g, NO), result.outputs
         )
         assert result.far_probes_used == 0
+
+    def test_partial_labeling_rejected_like_volume(self):
+        # Labeling only port 0 of a degree-2 node must fail in the LCA
+        # runner exactly as it does in the VOLUME runner.
+        partial = FunctionalVolumeAlgorithm(
+            lambda n: 0, lambda n, i, tuples: None, lambda n, tuples: {0: "x"},
+            name="port-zero-only",
+        )
+        g = cycle(4)
+        with pytest.raises(AlgorithmError, match="must label exactly the ports of node 0"):
+            run_volume_algorithm(g, partial)
+        with pytest.raises(AlgorithmError, match="must label exactly the ports of node 0"):
+            run_lca_algorithm(g, partial)
 
     def test_range_padding_increases_budget(self):
         inner = ChainColeVishkin()
