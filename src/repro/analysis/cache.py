@@ -44,7 +44,7 @@ from repro.analysis.summaries import FileFacts
 
 #: Bump on any change to extraction logic, dep encoding, or per-file
 #: rule behavior: every cached record becomes a miss.
-ANALYSIS_VERSION = 4
+ANALYSIS_VERSION = 5
 
 #: Record format sanity marker.
 _FORMAT = "repro-lint-cache-v1"

@@ -12,7 +12,8 @@ each run:
   re-exports it);
 * **fixed-point summaries** per function — which nondeterminism kinds
   its return value carries (with the full witness chain), whether it
-  returns an unordered container, and which of its parameters flow into
+  returns an unordered container or a sequence of them (the element
+  fact), and which of its parameters flow into
   serialization sinks (transitively, through further calls);
 * the three whole-program queries the rules consume:
   :meth:`WholeProgram.taint_hits` (REP010),
@@ -68,6 +69,9 @@ class Summary:
 
     ret_taints: Dict[str, Chain] = field(default_factory=dict)
     ret_unordered: bool = False
+    #: The return is an ordered sequence of unordered containers
+    #: (``[frozenset(...) for ...]``): iterating it yields unordered values.
+    ret_elements_unordered: bool = False
     param_sinks: Dict[str, List[ParamSink]] = field(default_factory=dict)
 
 
@@ -216,9 +220,46 @@ class WholeProgram:
                                     ),
                                 ),
                             )
+            elif tag in ("icall", "imcall"):
+                _, candidate, line = dep
+                for target in self.resolve(candidate):
+                    if not self.summaries[target].ret_elements_unordered:
+                        continue
+                    if tag == "icall":
+                        unordered = True
+                        continue
+                    origin = (
+                        _step(
+                            self.functions[target].rel_path,
+                            self.functions[target].line,
+                            f"{target} returns a sequence of unordered containers",
+                        ),
+                    )
+                    taints.setdefault(
+                        contracts.TAINT_ORDER,
+                        origin
+                        + (_step(rel_path, line, "iterating/materializing one of its elements"),),
+                    )
             # ("param", name), ("fref", ...) and ("eunordered", ...)
             # carry no taint here.
         return taints, unordered
+
+    def elements_unordered(self, deps: DepSet) -> bool:
+        """Whether ``deps`` describe a sequence of unordered containers:
+        a local one, a sequence of calls returning unordered containers,
+        or a callee's return that is such a sequence."""
+        for dep in deps:
+            tag = dep[0]
+            if tag == "eunordered":
+                return True
+            if tag in ("ecall", "call"):
+                for target in self.resolve(dep[1]):
+                    summary = self.summaries[target]
+                    if tag == "ecall" and summary.ret_unordered:
+                        return True
+                    if tag == "call" and summary.ret_elements_unordered:
+                        return True
+        return False
 
     # -- fixed point --------------------------------------------------------
     def _transfer(self, key: str) -> bool:
@@ -235,6 +276,9 @@ class WholeProgram:
                 changed = True
         if unordered and not summary.ret_unordered:
             summary.ret_unordered = True
+            changed = True
+        if not summary.ret_elements_unordered and self.elements_unordered(record.return_deps):
+            summary.ret_elements_unordered = True
             changed = True
         # A function returning a raw unordered dep also propagates the
         # container-ness through plain `call` deps (handled in evaluate).

@@ -28,6 +28,11 @@ Dependency facts ("deps") are small tagged tuples:
                                taints, but not its container-ness
 ``("eunordered", line, d)``    value is an ordered sequence of unordered
                                containers; iterating it yields them
+``("icall", key, line)``       value is an element yielded by iterating the
+                               return of ``key``: an unordered container
+                               when that return is a sequence of them
+``("imcall", key, line)``      value iterates/materializes such an
+                               element: order taint at ``line`` then
 ``("param", name)``            value derives from this function's param
 ``("fref", key, line)``        value *is* a reference to project function
                                ``key`` (fork-root discovery)
@@ -676,10 +681,14 @@ class _FunctionAnalyzer:
             self.sinks.append(SinkFact(sink=sink, line=line, deps=frozenset(all_args)))
 
         result: Set[Dep] = set(all_args)
+        if candidates:
+            # A project callee's summary describes its own return; an
+            # element of another callee's return passed in as an argument
+            # does not make that return such an element.
+            result = {dep for dep in result if dep[0] != "icall"}
+            result.add(("call", candidates[0], line))
         if isinstance(func, ast.Attribute):
             result |= self._deps(func.value)
-        if candidates:
-            result.add(("call", candidates[0], line))
         return frozenset(result)
 
     def _source_taint(self, node: ast.Call, qualname: Optional[str]) -> Optional[Dep]:
@@ -748,7 +757,7 @@ def _drop_order(deps: DepSet) -> DepSet:
     when ``f`` returns a set."""
     kept: Set[Dep] = set()
     for dep in deps:
-        if dep[0] == "unordered":
+        if dep[0] in ("unordered", "icall", "imcall"):
             continue
         if dep[0] == "taint" and dep[1] == contracts.TAINT_ORDER:
             continue
@@ -768,24 +777,33 @@ _OF_ELEMENT = {element: tag for tag, element in _AS_ELEMENT.items()}
 def _sequence_of(deps: DepSet) -> DepSet:
     """The deps of an ordered sequence of values with ``deps``: their
     taints, with their container-ness kept as element facts — a list of
-    frozensets is not itself unordered."""
-    return frozenset((_AS_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in deps)
+    frozensets is not itself unordered.  An element of a callee's return
+    (``icall``) has no element form and is dropped: the sequence keeps
+    that element's taints through its ``mcall``."""
+    return frozenset(
+        (_AS_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in deps if dep[0] != "icall"
+    )
 
 
 def _iterated(deps: DepSet) -> DepSet:
     """The deps of the values an iteration over ``deps`` yields: call
-    deps materialized, and a sequence's element facts become the
-    container-ness of what the iteration yields."""
-    return frozenset(
-        (_OF_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in _mark_materialized(deps)
-    )
+    deps materialized, plus an ``icall`` for the callee's elements (which
+    may be unordered containers themselves); a sequence's element facts
+    become the container-ness of what the iteration yields."""
+    iterated = {(_OF_ELEMENT.get(dep[0], dep[0]),) + dep[1:] for dep in _mark_materialized(deps)}
+    iterated.update(("icall",) + dep[1:] for dep in deps if dep[0] == "call")
+    return frozenset(iterated)
+
+
+#: Materialized forms: iterating/listing/joining a callee's return, or
+#: one element of it.
+_MATERIALIZED = {"call": "mcall", "icall": "imcall"}
 
 
 def _mark_materialized(deps: DepSet) -> DepSet:
-    """Mark call deps materialized (``mcall``): if the callee turns out
-    to return an unordered container, iterating/listing/joining it here
-    becomes order taint at *this* line (resolved by the engine, since the
-    callee's summary is unknown during local extraction)."""
-    return frozenset(
-        (("mcall",) + dep[1:]) if dep[0] == "call" else dep for dep in deps
-    )
+    """Mark call deps materialized (``mcall`` / ``imcall``): if the callee
+    turns out to return an unordered container — or, for an element, a
+    sequence of them — iterating/listing/joining it here becomes order
+    taint at *this* line (resolved by the engine, since the callee's
+    summary is unknown during local extraction)."""
+    return frozenset((_MATERIALIZED.get(dep[0], dep[0]),) + dep[1:] for dep in deps)

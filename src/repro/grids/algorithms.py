@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.exceptions import AlgorithmError
 from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.local.algorithms.cole_vishkin import palette_schedule
-from repro.local.iterative import IterativeAlgorithm
+from repro.local.iterative import IterativeAlgorithm, memoize_per_n
 from repro.local.model import LocalAlgorithm, NodeContext
 
 NEVER_WRAPPED = "dimension-0 line never wrapped; not a torus?"
@@ -83,8 +83,13 @@ class GridProductColoring(IterativeAlgorithm):
         # Per-dimension PROD identifiers live below (d+1) · n^exponent.
         return max(2, (self.dimensions + 1) * n**self.id_exponent + 1)
 
+    @memoize_per_n
+    def _cv_rounds(self, n: int) -> int:
+        return len(palette_schedule(self.initial_palette(n)))
+
+    @memoize_per_n
     def color_rounds(self, n: int) -> int:
-        return len(palette_schedule(self.initial_palette(n))) + 3
+        return self._cv_rounds(n) + 3
 
     def rounds(self, n: int) -> int:
         return self.color_rounds(n)
@@ -112,7 +117,7 @@ class GridProductColoring(IterativeAlgorithm):
 
     def step(self, round_index, state, neighbor_states, n):
         colors, forward, backward = state
-        cv_rounds = len(palette_schedule(self.initial_palette(n)))
+        cv_rounds = self._cv_rounds(n)
         updated = []
         for dim in range(self.dimensions):
             successor = neighbor_states[forward[dim]]

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import AlgorithmError
 from repro.graphs.core import Graph, HalfEdgeLabeling
-from repro.local.iterative import IterativeAlgorithm
+from repro.local.iterative import IterativeAlgorithm, memoize_per_n
 
 #: Input label marking the successor port.
 SUCCESSOR = "s"
@@ -76,8 +76,13 @@ class ColeVishkinColoring(IterativeAlgorithm):
     def initial_palette(self, n: int) -> int:
         return max(2, n**self.id_exponent + 1)
 
+    @memoize_per_n
+    def _cv_rounds(self, n: int) -> int:
+        return len(palette_schedule(self.initial_palette(n)))
+
+    @memoize_per_n
     def color_rounds(self, n: int) -> int:
-        return len(palette_schedule(self.initial_palette(n))) + 3
+        return self._cv_rounds(n) + 3
 
     def rounds(self, n: int) -> int:
         return self.color_rounds(n)
@@ -101,7 +106,7 @@ class ColeVishkinColoring(IterativeAlgorithm):
 
     def step(self, round_index, state, neighbor_states, n):
         color, successor_port = state
-        cv_rounds = len(palette_schedule(self.initial_palette(n)))
+        cv_rounds = self._cv_rounds(n)
         if round_index < cv_rounds:
             successor_color = None
             if successor_port is not None and neighbor_states[successor_port] is not None:

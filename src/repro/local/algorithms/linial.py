@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Tuple
 
 from repro.exceptions import AlgorithmError
-from repro.local.iterative import IterativeAlgorithm
+from repro.local.iterative import IterativeAlgorithm, memoize_per_n
 from repro.utils.numbers import GFPolynomial, next_prime
 
 
@@ -81,16 +81,19 @@ class LinialColoring(IterativeAlgorithm):
     def initial_palette(self, n: int) -> int:
         return max(2, n**self.id_exponent + 1)
 
+    @memoize_per_n
     def schedule(self, n: int) -> Tuple[Tuple[int, int, int], ...]:
         return reduction_schedule(self.initial_palette(n), self.max_degree)
 
     def final_palette(self, n: int) -> int:
         return self.max_degree + 1
 
+    @memoize_per_n
     def _intermediate_palette(self, n: int) -> int:
         schedule = self.schedule(n)
         return schedule[-1][2] if schedule else self.initial_palette(n)
 
+    @memoize_per_n
     def color_rounds(self, n: int) -> int:
         reduction = len(self.schedule(n))
         sweep = max(0, self._intermediate_palette(n) - (self.max_degree + 1))

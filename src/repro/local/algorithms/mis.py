@@ -11,7 +11,9 @@ protocol of :class:`~repro.local.algorithms.linial.LinialColoring` and
 :class:`~repro.local.algorithms.cole_vishkin.ColeVishkinColoring`, and
 emit outputs in the pointer encodings of :func:`repro.lcl.catalog.mis` and
 :func:`repro.lcl.catalog.maximal_matching`, so solutions check directly
-against the catalog problems.
+against the catalog problems.  Their ``step`` asks the coloring for its
+``color_rounds`` every round; each shipped coloring resolves it once per
+``n`` (:func:`~repro.local.iterative.memoize_per_n`).
 """
 
 from __future__ import annotations

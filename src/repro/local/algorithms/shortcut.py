@@ -28,6 +28,7 @@ from repro.exceptions import AlgorithmError
 from repro.graphs.balls import Ball
 from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.local.algorithms.cole_vishkin import palette_schedule
+from repro.local.iterative import memoize_per_n
 from repro.local.model import LocalAlgorithm, NodeContext
 
 
@@ -107,6 +108,7 @@ class ShortcutColeVishkin(LocalAlgorithm):
         self.label_prefix = label_prefix
         self.cv_rounds_override = cv_rounds_override
 
+    @memoize_per_n
     def _cv_rounds(self, n: int) -> int:
         needed = len(palette_schedule(max(2, n**self.id_exponent + 1)))
         if self.cv_rounds_override is not None:

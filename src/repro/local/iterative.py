@@ -30,11 +30,17 @@ The replay contract, which every subclass keeps:
   same ``(round, state, neighbor states)`` must always give the same
   next state.  This is also what makes a failing shared schedule safe to
   rerun target by target: the rerun raises the same first error.
-* Parameters that depend only on ``n`` (round schedules, palettes) live
-  in memoized pure functions such as
+* Parameters that depend only on ``n`` (round schedules, palettes) are
+  resolved once per instance and ``n`` by the :func:`memoize_per_n`
+  methods (``schedule``, ``color_rounds``, ``_cv_rounds``, ...), on top
+  of memoized pure functions such as
   :func:`~repro.local.algorithms.linial.reduction_schedule` and
   :func:`~repro.local.algorithms.cole_vishkin.palette_schedule`. ``step``
   looks them up; it does not recompute them for every node and round.
+* The replay gathers a node's port-indexed neighbor states with one
+  getter built per node before the first round (an
+  :func:`operator.itemgetter` over its neighbors' local indices, with
+  explicit 0- and 1-port cases), so ``step`` always receives a tuple.
 * The replay relies on the BFS order of a ball's local indices (see
   :mod:`repro.graphs.balls`): ``distance`` never decreases with the local
   index, so the nodes still determined after a round are a prefix of the
@@ -46,12 +52,60 @@ The replay contract, which every subclass keeps:
 from __future__ import annotations
 
 import abc
+import functools
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.graphs.balls import Ball, extract_region
 from repro.graphs.core import Graph, HalfEdgeLabeling
 from repro.local.model import LocalAlgorithm, NodeContext
+
+_Result = TypeVar("_Result")
+
+
+def memoize_per_n(method: Callable[[Any, int], _Result]) -> Callable[[Any, int], _Result]:
+    """Memoize a method whose value depends only on its instance and ``n``.
+
+    The memo is a dict in the instance's ``__dict__``, one per decorated
+    function (named by its qualified name, so an override decorated in a
+    subclass keeps its own entries): two instances — say with different
+    ``id_exponent`` or ``max_degree`` — never share an entry, and the memo
+    dies with its instance.  The method must read only parameters fixed at
+    construction; anything it calls through ``self`` (an overridden
+    ``initial_palette``, say) is honoured on the first call for each ``n``.
+    """
+    slot = "_memo_" + method.__qualname__
+
+    @functools.wraps(method)
+    def memoized(self: Any, n: int) -> _Result:
+        try:
+            return self.__dict__[slot][n]
+        except KeyError:
+            pass
+        value = method(self, n)
+        self.__dict__.setdefault(slot, {})[n] = value
+        return value
+
+    return memoized
+
+
+def _no_neighbors(states: List[Any]) -> Tuple[()]:
+    return ()
+
+
+def _neighbor_getter(ports: Tuple[int, ...]) -> Callable[[List[Any]], Tuple[Any, ...]]:
+    """The states at ``ports`` as a tuple, gathered by one call.
+
+    ``itemgetter`` returns a bare item for one index and cannot be built
+    for none, so those two arities get their own getters.
+    """
+    if not ports:
+        return _no_neighbors
+    if len(ports) == 1:
+        (only,) = ports
+        return lambda states: (states[only],)
+    return itemgetter(*ports)
 
 
 class IterativeAlgorithm(LocalAlgorithm):
@@ -177,13 +231,15 @@ class IterativeAlgorithm(LocalAlgorithm):
         ]
         distance = ball.distance
         horizon = ball.radius
-        # Port-indexed local neighbors of every node stepped in round 0; a
+        # One port-indexed neighbor getter per node stepped in round 0; a
         # port whose edge leaves the ball reads the extra slot `num_nodes`,
         # which always holds None.
-        neighbors = [
-            tuple(
-                ball.adj[v][port][0] if port in ball.adj[v] else num_nodes
-                for port in range(ball.degrees[v])
+        gathers = [
+            _neighbor_getter(
+                tuple(
+                    ball.adj[v][port][0] if port in ball.adj[v] else num_nodes
+                    for port in range(ball.degrees[v])
+                )
             )
             for v in range(bisect_right(distance, horizon - 1))
         ]
@@ -194,12 +250,11 @@ class IterativeAlgorithm(LocalAlgorithm):
             # <= horizon - (round_index + 1) from the center: a prefix of
             # the BFS-ordered local indices.
             active = bisect_right(distance, horizon - (round_index + 1))
-            next_states: List[Any] = [None] * (num_nodes + 1)
-            for v in range(active):
-                next_states[v] = step(
-                    round_index, states[v], tuple([states[u] for u in neighbors[v]]), n
-                )
-            states = next_states
+            stepped = [
+                step(round_index, state, gather(states), n)
+                for state, gather in zip(states, gathers[:active])
+            ]
+            states = stepped + [None] * (num_nodes + 1 - active)
         return states[:num_nodes]
 
     @staticmethod

@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional
 
 from repro.exceptions import AlgorithmError
 from repro.local.algorithms.cole_vishkin import palette_schedule
-from repro.local.iterative import IterativeAlgorithm
+from repro.local.iterative import IterativeAlgorithm, memoize_per_n
 from repro.rooted.tree import TO_CHILD, TO_PARENT
 
 
@@ -38,9 +38,11 @@ class RootedCVColoring(IterativeAlgorithm):
     def initial_palette(self, n: int) -> int:
         return max(2, n**self.id_exponent + 1)
 
+    @memoize_per_n
     def _cv_rounds(self, n: int) -> int:
         return len(palette_schedule(self.initial_palette(n)))
 
+    @memoize_per_n
     def color_rounds(self, n: int) -> int:
         # CV to 6 colors, then three (shift-down + retire) double-rounds.
         return self._cv_rounds(n) + 6

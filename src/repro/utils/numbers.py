@@ -14,6 +14,7 @@ These back two parts of the reproduction:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -52,8 +53,14 @@ def tower(height: int, top: float = 2.0, base: float = 2.0) -> float:
     return value
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division; inputs here are small)."""
+    """Deterministic primality test (trial division; inputs here are small).
+
+    Memoized with a bounded cache: :class:`GFPolynomial` checks its modulus
+    on every construction, and Linial's recoloring builds a polynomial per
+    node and neighbor over a handful of fields.
+    """
     if n < 2:
         return False
     if n < 4:
@@ -79,7 +86,10 @@ def next_prime(n: int) -> int:
 class GFPolynomial:
     """A polynomial over the prime field GF(q), evaluated by Horner's rule.
 
-    Coefficients are given lowest-degree first, reduced mod q.
+    Coefficients are given lowest-degree first, reduced mod q.  Both the
+    constructor and :meth:`from_integer` reject a non-prime ``q`` through
+    :func:`is_prime`, whose memo makes that check run once per field rather
+    than once per polynomial.
     """
 
     __slots__ = ("q", "coefficients")
@@ -104,11 +114,18 @@ class GFPolynomial:
             raise ValueError(
                 f"value {value} does not fit in degree-{degree} polynomial over GF({q})"
             )
+        if not is_prime(q):
+            raise ValueError(f"GF({q}) requires a prime modulus")
         coefficients = []
         for _ in range(degree + 1):
             coefficients.append(value % q)
             value //= q
-        return cls(q, coefficients)
+        # Base-q digits are already reduced, so the constructor's checks
+        # and reduction would only repeat the work above.
+        polynomial = cls.__new__(cls)
+        polynomial.q = q
+        polynomial.coefficients = tuple(coefficients)
+        return polynomial
 
     def __call__(self, x: int) -> int:
         result = 0

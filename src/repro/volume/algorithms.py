@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import AlgorithmError, ProbeError
 from repro.local.algorithms.cole_vishkin import PREDECESSOR, SUCCESSOR, palette_schedule
+from repro.local.iterative import memoize_per_n
 from repro.volume.model import NodeTuple, ProbeOracle, VolumeAlgorithm, VolumeQuery
 
 
@@ -64,6 +65,7 @@ class ChainColeVishkin(VolumeAlgorithm):
         self.id_exponent = id_exponent
         self.label_prefix = label_prefix
 
+    @memoize_per_n
     def _cv_rounds(self, n: int) -> int:
         return len(palette_schedule(max(2, n**self.id_exponent + 1)))
 

@@ -245,6 +245,91 @@ class TestDeepTaintFlow:
         assert hits, "materializing a frozenset element was missed"
         assert "set-order" in hits[0].message
 
+    @pytest.mark.parametrize(
+        "publish",
+        [
+            "return encode_payload([list(g) for g in groups(rows)])",
+            "return [encode_payload(list(g)) for g in relay(rows)]",
+            "for g in groups(rows):\n    out.append(encode_payload(list(g)))",
+            "for g in groups(rows):\n    out.append(encode_payload([x for x in g]))",
+        ],
+        ids=["comprehension", "through-relay", "for-loop", "iterated-element"],
+    )
+    def test_materializing_an_element_of_a_returned_sequence_fires(self, tmp_path, publish):
+        """The element fact crosses the call: a helper returning
+        ``[frozenset(...) for ...]`` hands its caller unordered elements,
+        and materializing one of them into a sink is order-tainted."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/helpers.py": """
+                    def groups(rows):
+                        return [frozenset(row) for row in sorted(rows)]
+
+                    def relay(rows):
+                        return groups(rows)
+                """,
+                "pkg/encode.py": (
+                    "from pkg.helpers import groups, relay\n\n"
+                    "def encode_payload(payload):\n"
+                    "    return '|'.join(payload).encode()\n\n"
+                    "def publish(rows, out):\n"
+                    + textwrap.indent(publish, "    ")
+                    + "\n"
+                ),
+            },
+        )
+        hits = by_code(lint(tmp_path, select=["REP010"]), "REP010")
+        assert hits, "materializing an element of a returned frozenset list was missed"
+        assert hits[0].path == "pkg/encode.py"
+        assert "set-order" in hits[0].message
+        # The witness chain starts at the helper that returns the sequence.
+        assert "returns a sequence of unordered containers" in hits[0].message
+        assert "helpers.py" in hits[0].message
+
+    @pytest.mark.parametrize(
+        "publish",
+        [
+            "return encode_payload(groups(rows))",
+            "kept = relay(rows)\nreturn encode_payload(kept)",
+            "return encode_payload([sorted(g) for g in groups(rows)])",
+            "return encode_payload([g for g in groups(rows)])",
+            "return encode_payload([len(g) for g in relay(rows)])",
+            "for g in groups(rows):\n    size, items = describe(g)\n"
+            "    out.append(encode_payload(list(items)))",
+        ],
+        ids=["pass-through", "relay", "sorted-elements", "elements-passed", "sizes", "described"],
+    )
+    def test_passing_or_sorting_a_returned_sequence_stays_clean(self, tmp_path, publish):
+        """Only materializing an element taints: the list itself is
+        ordered, sorting an element launders its order, and a project
+        function handed an element returns what its own summary says."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/helpers.py": """
+                    def groups(rows):
+                        return [frozenset(row) for row in sorted(rows)]
+
+                    def relay(rows):
+                        return groups(rows)
+
+                    def describe(group):
+                        return len(group), sorted(group)
+                """,
+                "pkg/encode.py": (
+                    "from pkg.helpers import describe, groups, relay\n\n"
+                    "def encode_payload(payload):\n"
+                    "    return '|'.join(payload).encode()\n\n"
+                    "def publish(rows, out):\n"
+                    + textwrap.indent(publish, "    ")
+                    + "\n"
+                ),
+            },
+        )
+        result = lint(tmp_path, select=["REP010"])
+        assert result.findings == [], [f.render() for f in result.findings]
+
     def test_sink_line_suppression_silences_the_whole_chain(self, tmp_path):
         """One suppression at the sink call silences a flow whose origin
         lives two modules away (the satellite-4 contract)."""

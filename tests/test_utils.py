@@ -167,6 +167,18 @@ class TestNumbers:
         assert next_prime(11) == 11
         assert next_prime(0) == 2
 
+    def test_memoized_primality_agrees_with_trial_division(self):
+        def trial_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        primes = [n for n in range(5001) if trial_division(n)]
+        # Twice: the second pass reads is_prime's memo.
+        for _ in range(2):
+            assert [n for n in range(5001) if is_prime(n)] == primes
+            for n in range(0, 4994):
+                assert next_prime(n) == min(p for p in primes if p >= max(2, n))
+        assert is_prime.cache_info().maxsize is not None
+
     @given(st.integers(min_value=2, max_value=5000))
     def test_property_iterated_log_monotone_step(self, n):
         assert iterated_log(n) == 1 + iterated_log(math.log2(n))
@@ -176,6 +188,25 @@ class TestGFPolynomial:
     def test_requires_prime(self):
         with pytest.raises(ValueError):
             GFPolynomial(4, [1])
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 9, 15])
+    def test_from_integer_requires_prime(self, q):
+        for _ in range(2):  # the second call reads is_prime's memo
+            with pytest.raises(ValueError):
+                GFPolynomial.from_integer(q, 0, 1)
+            with pytest.raises(ValueError):
+                GFPolynomial(q, [0, 1])
+
+    @pytest.mark.parametrize("q, degree", [(2, 3), (5, 2), (17, 5)])
+    def test_from_integer_equals_constructor_on_digits(self, q, degree):
+        for value in range(0, q ** (degree + 1), max(1, q ** (degree + 1) // 97)):
+            digits = [(value // q**i) % q for i in range(degree + 1)]
+            encoded = GFPolynomial.from_integer(q, value, degree)
+            assert encoded == GFPolynomial(q, digits)
+            assert type(encoded.coefficients) is tuple
+            assert [encoded(x) for x in range(q)] == [
+                GFPolynomial(q, digits)(x) for x in range(q)
+            ]
 
     def test_horner_evaluation(self):
         p = GFPolynomial(7, [1, 2, 3])  # 1 + 2x + 3x^2
