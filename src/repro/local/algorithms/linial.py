@@ -118,10 +118,7 @@ class LinialColoring(IterativeAlgorithm):
             return self._polynomial_step(
                 schedule[round_index], state, neighbor_states
             )
-        # Color-retirement sweep: rounds beyond the schedule retire the
-        # currently highest color, one per round.
-        palette = self._intermediate_palette(n)
-        retiring = palette - 1 - (round_index - len(schedule))
+        retiring = self._retiring_color(round_index, n)
         if state != retiring:
             return state
         taken = {c for c in neighbor_states if c is not None}
@@ -129,6 +126,18 @@ class LinialColoring(IterativeAlgorithm):
             if candidate not in taken:
                 return candidate
         raise AlgorithmError("no free color in a (Δ+1)-palette; coloring was improper")
+
+    def _retiring_color(self, round_index: int, n: int) -> int:
+        # Color-retirement sweep: rounds beyond the schedule retire the
+        # currently highest color, one per round.
+        reduction = len(self.schedule(n))
+        return self._intermediate_palette(n) - 1 - (round_index - reduction)
+
+    def moving_state(self, round_index, n):
+        """In a sweep round only the nodes holding the retiring color move."""
+        if round_index < len(self.schedule(n)):
+            return None
+        return self._retiring_color(round_index, n)
 
     def _polynomial_step(self, parameters, state, neighbor_states):
         q, d, _ = parameters

@@ -47,6 +47,12 @@ The replay contract, which every subclass keeps:
   local indices, and only that prefix is stepped.  A multi-source region
   (:func:`~repro.graphs.balls.extract_region`) keeps that order, so the
   shared schedule is the same replay over the region.
+* A round may be sparse.  When :meth:`IterativeAlgorithm.moving_state`
+  names a state for the round (Linial's colour-retirement sweep names
+  the retiring colour), the replay copies the active prefix and calls
+  ``step`` only on the nodes holding that state.  ``step`` must then
+  return every other state unchanged, so the sparse round equals the
+  dense one.  The default ``None`` steps the whole prefix.
 """
 
 from __future__ import annotations
@@ -161,6 +167,16 @@ class IterativeAlgorithm(LocalAlgorithm):
     ) -> Dict[int, Any]:
         """Port-indexed output labels from the final states."""
 
+    def moving_state(self, round_index: int, n: int) -> Any:
+        """The only state that :meth:`step` changes in this round, if any.
+
+        The default ``None`` steps every node of the round.  A subclass
+        whose round moves only the nodes holding one state returns that
+        state, and the replay then calls :meth:`step` on those nodes
+        alone; its ``step`` must return every other state unchanged.
+        """
+        return None
+
     #: Extra radius needed by :meth:`finalize` to see neighbor states
     #: (1 in the common pointer-output case, hence the default).
     finalize_lookahead: int = 1
@@ -244,16 +260,29 @@ class IterativeAlgorithm(LocalAlgorithm):
             for v in range(bisect_right(distance, horizon - 1))
         ]
         step = self.step
+        moving_state = self.moving_state
         states.append(None)
         for round_index in range(total_rounds):
             # After this round, states are determined for nodes at distance
             # <= horizon - (round_index + 1) from the center: a prefix of
             # the BFS-ordered local indices.
             active = bisect_right(distance, horizon - (round_index + 1))
-            stepped = [
-                step(round_index, state, gather(states), n)
-                for state, gather in zip(states, gathers[:active])
-            ]
+            moving = moving_state(round_index, n)
+            if moving is None:
+                stepped = [
+                    step(round_index, state, gather(states), n)
+                    for state, gather in zip(states, gathers[:active])
+                ]
+            else:
+                # A sparse round: every other state of the prefix is kept.
+                stepped = states[:active]
+                v = -1
+                try:
+                    while True:
+                        v = states.index(moving, v + 1, active)
+                        stepped[v] = step(round_index, moving, gathers[v](states), n)
+                except ValueError:
+                    pass
             states = stepped + [None] * (num_nodes + 1 - active)
         return states[:num_nodes]
 

@@ -362,6 +362,10 @@ class _Engine:
         return handle
 
     def _stop_worker(self, handle: _WorkerHandle, kill: bool = False) -> None:
+        self._request_stop(handle, kill=kill)
+        self._reap_worker(handle)
+
+    def _request_stop(self, handle: _WorkerHandle, kill: bool = False) -> None:
         self.handles.pop(handle.worker_id, None)
         if kill and handle.process.is_alive():
             handle.process.kill()
@@ -370,8 +374,11 @@ class _Engine:
                 handle.conn.send((worker_module.MSG_STOP,))
             except (BrokenPipeError, OSError):
                 handle.process.terminate()
+
+    def _reap_worker(self, handle: _WorkerHandle) -> None:
+        """Join a stopped worker; kill it if it outlives the grace period."""
         handle.process.join(_TERMINATE_GRACE_SECONDS)
-        if handle.process.is_alive():  # pragma: no cover - stubborn worker
+        if handle.process.is_alive():  # a stubborn worker
             handle.process.kill()
             handle.process.join()
         try:
@@ -752,8 +759,17 @@ class _Engine:
             self._delete_shards()
 
     def shutdown(self, kill: bool = False) -> None:
-        for handle in list(self.handles.values()):
-            self._stop_worker(handle, kill=kill)
+        handles = list(self.handles.values())
+        if kill:
+            for handle in handles:
+                self._stop_worker(handle, kill=True)
+        else:
+            # Every worker is told to stop before any is joined, so they
+            # wind down in parallel.
+            for handle in handles:
+                self._request_stop(handle)
+            for handle in handles:
+                self._reap_worker(handle)
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None

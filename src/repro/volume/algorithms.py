@@ -25,6 +25,28 @@ def _port_with_label(node_tuple: NodeTuple, label: Any) -> Optional[int]:
     return None
 
 
+def _capped_hops(
+    forward: List[Optional[int]], backward: List[Optional[int]], cap: int
+) -> List[int]:
+    """How far each node can follow ``forward`` before it ends, capped at ``cap``.
+
+    ``backward`` must be the inverse of ``forward``: from each node where
+    ``forward`` ends, the walk back along ``backward`` meets the nodes
+    0, 1, 2, ... hops from that end.  Nodes on a cycle never reach an end.
+    """
+    hops = [cap] * len(forward)
+    for end, nxt in enumerate(forward):
+        if nxt is not None:
+            continue
+        node: Optional[int] = end
+        for distance in range(cap):
+            if node is None:
+                break
+            hops[node] = distance
+            node = backward[node]
+    return hops
+
+
 class NeighborhoodAggregate(VolumeAlgorithm):
     """Output the maximum degree among the node and its neighbors.
 
@@ -51,12 +73,20 @@ class NeighborhoodAggregate(VolumeAlgorithm):
 class ChainColeVishkin(VolumeAlgorithm):
     """3-coloring of consistently oriented paths/cycles, Θ(log* n) probes.
 
-    The queried node probes its successor chain for ``t + 1`` hops (where
-    ``t`` is the CV round count for the ID palette) and its predecessor
-    chain for 3 hops, then simulates Cole–Vishkin plus the three
-    retirement rounds on the gathered window — the same simulation as
+    The queried node walks its successor chain for up to ``t + 4`` hops
+    (where ``t`` is the CV round count for the ID palette) and its
+    predecessor chain for up to 3 hops, against a declared ``t + 7``
+    probes, then simulates Cole–Vishkin plus the three retirement rounds
+    on the gathered window — the same simulation as
     :class:`repro.local.algorithms.shortcut.ShortcutColeVishkin`, but
-    paying one probe per hop instead of one radius unit.
+    paying one probe per hop instead of one radius unit.  The window's
+    colours need only ``t + 3`` successor hops: the last hop is never
+    read, but it stays in the walk because every measured probe count
+    includes it.
+
+    A run over all nodes takes :meth:`answer_all`: one CV execution
+    shared by every query, with each node's window and probe count read
+    off the global successor and predecessor maps.
     """
 
     name = "chain-cole-vishkin"
@@ -134,6 +164,90 @@ class ChainColeVishkin(VolumeAlgorithm):
             raise AlgorithmError("chain CV failed to color the queried node")
         label = f"{self.label_prefix}{mine}"
         return {port: label for port in range(query.start_tuple.degree)}
+
+    def answer_all(
+        self, oracle: ProbeOracle, budget: int, declared_n: int
+    ) -> Optional[Tuple[List[Dict[int, Any]], List[int]]]:
+        """One Cole–Vishkin execution over every node, shared by all queries.
+
+        Each node's successor and predecessor are read once, from its
+        first ``SUCCESSOR`` / ``PREDECESSOR`` port as :meth:`answer` reads
+        them.  The CV rounds then run over all nodes, one list per round,
+        followed by the three retirement rounds.  When the two maps are
+        inverse to each other, the window of :meth:`answer` at ``v`` is
+        the chain through ``v`` and every colour it computes for ``v`` is
+        the global one, so each node gets its global colour and the probe
+        count of its own walk: ``min(t + 4, successor hops) + min(3,
+        predecessor hops)``.
+
+        Returns ``None`` — and the per-node queries raise their exact
+        first error — when the maps are not inverse (the window would
+        then not be the chain), when a subclass overrides :meth:`answer`,
+        when a count exceeds ``budget``, or when a queried node's colour
+        ends above 5.  An error raised here, such as equal colours across
+        an edge, also sends the run to the per-node queries.
+        """
+        if type(self).answer is not ChainColeVishkin.answer:
+            return None
+        graph = oracle.graph
+        num_nodes = graph.num_nodes
+        degrees = [graph.degree(v) for v in range(num_nodes)]
+        successor: List[Optional[int]] = [None] * num_nodes
+        predecessor: List[Optional[int]] = [None] * num_nodes
+        for v in range(num_nodes):
+            node = oracle.tuple_of(v)
+            port = _port_with_label(node, SUCCESSOR)
+            if port is not None:
+                successor[v] = graph.neighbor(v, port)
+            port = _port_with_label(node, PREDECESSOR)
+            if port is not None:
+                predecessor[v] = graph.neighbor(v, port)
+        for v in range(num_nodes):
+            before, after = predecessor[v], successor[v]
+            if before is not None and successor[before] != v:
+                return None
+            if after is not None and predecessor[after] != v:
+                return None
+
+        rounds = self._cv_rounds(declared_n)
+        successor_hops = _capped_hops(successor, predecessor, rounds + 4)
+        predecessor_hops = _capped_hops(predecessor, successor, 3)
+        probes_used = [0] * num_nodes
+        for v in range(num_nodes):
+            if degrees[v]:
+                probes_used[v] = successor_hops[v] + predecessor_hops[v]
+                if probes_used[v] > budget:
+                    return None
+
+        cv_step = self._cv_step
+        colors: List[int] = list(oracle.ids)
+        for _ in range(rounds):
+            colors = [
+                cv_step(color, None if after is None else colors[after])
+                for color, after in zip(colors, successor)
+            ]
+        for retiring in (5, 4, 3):
+            updated = list(colors)
+            for v, color in enumerate(colors):
+                if color != retiring:
+                    continue
+                before, after = predecessor[v], successor[v]
+                taken = {
+                    None if before is None else colors[before],
+                    None if after is None else colors[after],
+                }
+                updated[v] = min(c for c in range(3) if c not in taken)
+            colors = updated
+
+        outputs: List[Dict[int, Any]] = [{} for _ in range(num_nodes)]
+        for v, (color, degree) in enumerate(zip(colors, degrees)):
+            if not degree:
+                continue
+            if color > 5:
+                return None
+            label = f"{self.label_prefix}{color}"
+            outputs[v] = {port: label for port in range(degree)}
+        return outputs, probes_used
 
     @staticmethod
     def _cv_step(color: int, successor_color: Optional[int]) -> int:

@@ -14,11 +14,17 @@ benchmark's probe-complexity measurements come from the same accounting
 that the correctness tests run under.
 
 :func:`run_volume_algorithm` first offers the algorithm every node at
-once (:meth:`VolumeAlgorithm.answer_all`):
-:class:`~repro.volume.algorithms.ComponentCount` walks each connected
-component once and hands every node of it the size and the probe count
-its own walk would report, instead of repeating the whole-component walk
-from each node.  Otherwise — or if that shared execution raises —
+once (:meth:`VolumeAlgorithm.answer_all`), and each node gets the
+outputs and the probe count its own query would report:
+
+* :class:`~repro.volume.algorithms.ComponentCount` walks each connected
+  component once, instead of repeating the whole-component walk from
+  each node;
+* :class:`~repro.volume.algorithms.ChainColeVishkin` runs Cole–Vishkin
+  once over all nodes, one list per round, instead of re-simulating it
+  over each node's own successor window.
+
+Otherwise — when the hook returns ``None`` or raises —
 :meth:`VolumeAlgorithm.answer` runs one :class:`VolumeQuery` per node,
 which is also the shared execution's oracle and reports the first error
 exactly as a per-node run does.

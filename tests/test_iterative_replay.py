@@ -14,6 +14,10 @@ Two differentials hold the fast paths to their oracles:
   (:meth:`IterativeAlgorithm.run_targets`) against the per-target ball
   replay of :meth:`IterativeAlgorithm.run`: equal outputs, per-node
   charges, declared radius and errors.
+
+Linial's colour-retirement rounds are sparse: the replay steps only the
+nodes holding the retiring colour (:meth:`IterativeAlgorithm.moving_state`),
+and both differentials above hold them to the dense oracle.
 """
 
 from typing import Any, List
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import AlgorithmError, NodeExecutionError
 from repro.graphs import cycle, path, random_ids, random_tree
-from repro.graphs.balls import extract_ball
+from repro.graphs.balls import extract_ball, extract_region
 from repro.grids import GridProductColoring, OrientedGrid, prod_ids
 from repro.local import (
     IterativeAlgorithm,
@@ -38,7 +42,7 @@ from repro.local.algorithms.cole_vishkin import (
     palette_schedule,
 )
 from repro.local.algorithms.linial import LinialColoring, reduction_schedule
-from repro.local.algorithms.mis import ColorClassMIS
+from repro.local.algorithms.mis import ColorClassMIS, GreedyMatchingFromColoring
 from repro.utils.rng import SplittableRNG
 
 
@@ -265,6 +269,108 @@ class TestFlatReplayMatchesOracle:
             if ball.distance[v] == 1:
                 ball.adj[v].pop(max(ball.adj[v]))
         assert algorithm._replay(ball, 3, 20) == oracle_replay(algorithm, ball, 3, 20)
+
+
+# ---------------------------------------------------------------------------
+# Differential: Linial's sparse sweep rounds against the dense oracle.
+
+
+def linial_graph(max_degree, seed):
+    n = 20 + 11 * seed
+    if max_degree == 2 and seed % 2:
+        return cycle(n)
+    return random_tree(n, max_degree=max_degree, seed=seed)
+
+
+def sweep_rounds(algorithm, n):
+    return range(len(algorithm.schedule(n)), algorithm.rounds(n))
+
+
+class SweepRecorder(LinialColoring):
+    """Records every (round, state) its ``step`` is called with."""
+
+    def __init__(self, max_degree):
+        super().__init__(max_degree)
+        self.calls = []
+
+    def step(self, round_index, state, neighbor_states, n):
+        self.calls.append((round_index, state))
+        return super().step(round_index, state, neighbor_states, n)
+
+
+class TestLinialSparseSweep:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("max_degree", [2, 3, 4])
+    def test_balls_match_oracle(self, max_degree, seed):
+        graph = linial_graph(max_degree, seed)
+        n = graph.num_nodes
+        ids = random_ids(graph, seed=seed)
+        algorithm = LinialColoring(max_degree)
+        total_rounds = algorithm.rounds(n)
+        assert len(sweep_rounds(algorithm, n)) > 0
+        for center in range(0, n, 3):
+            for horizon in (total_rounds, total_rounds + 2, total_rounds - 5, 6):
+                ball = extract_ball(graph, center, horizon, ids=ids)
+                assert algorithm._replay(ball, total_rounds, n) == oracle_replay(
+                    algorithm, ball, total_rounds, n
+                ), (center, horizon)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("max_degree", [2, 3, 4])
+    def test_regions_match_oracle(self, max_degree, seed):
+        graph = linial_graph(max_degree, seed)
+        n = graph.num_nodes
+        ids = random_ids(graph, seed=seed)
+        algorithm = LinialColoring(max_degree)
+        total_rounds = algorithm.rounds(n)
+        targets = list(range(seed, n, 7))
+        for horizon in (total_rounds, total_rounds - 9):
+            region = extract_region(graph, targets, horizon, None, ids, None)
+            assert algorithm._replay(region, total_rounds, n) == oracle_replay(
+                algorithm, region, total_rounds, n
+            ), horizon
+        assert_shared_matches_per_target(graph, algorithm, ids=ids, nodes=targets)
+
+    @pytest.mark.parametrize("max_degree", [2, 3, 4])
+    def test_no_other_color_is_stepped_in_a_sweep_round(self, max_degree):
+        graph = linial_graph(max_degree, 1)
+        n = graph.num_nodes
+        ids = random_ids(graph, seed=max_degree)
+        recorder = SweepRecorder(max_degree)
+        result = run_local_algorithm(graph, recorder, ids=ids)
+        sweep = sweep_rounds(recorder, n)
+        swept = [(r, state) for r, state in recorder.calls if r in sweep]
+        assert swept, "no node held a retiring color"
+        assert all(state == recorder.moving_state(r, n) for r, state in swept)
+        dense = LinialColoring(max_degree)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dense, "moving_state", lambda round_index, n: None)
+            oracle = run_local_algorithm(graph, dense, ids=ids)
+        assert dict(result.outputs.items()) == dict(oracle.outputs.items())
+        assert result.radius_per_node == oracle.radius_per_node
+
+    def test_moving_state_is_the_retiring_color(self):
+        algorithm = LinialColoring(3)
+        n = 64
+        reduction = len(algorithm.schedule(n))
+        assert [algorithm.moving_state(r, n) for r in range(reduction)] == [None] * reduction
+        palette = algorithm._intermediate_palette(n)
+        assert [algorithm.moving_state(r, n) for r in sweep_rounds(algorithm, n)] == list(
+            range(palette - 1, algorithm.max_degree, -1)
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ColorClassMIS(LinialColoring(3)),
+            lambda: GreedyMatchingFromColoring(LinialColoring(3), max_degree=3),
+        ],
+        ids=["mis", "matching"],
+    )
+    def test_sweeps_over_a_coloring_stay_dense(self, build):
+        algorithm = build()
+        n = 64
+        assert all(algorithm.moving_state(r, n) is None for r in range(algorithm.rounds(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,84 @@ class TestDispatchOrder:
         ]
 
 
+# ---------------------------------------------------------------- shutdown
+class _FakeProcess:
+    """Records the engine's calls; a stubborn one ignores ``MSG_STOP``."""
+
+    def __init__(self, name, events, stubborn=False):
+        self.name, self.events, self.stubborn = name, events, stubborn
+        self.running = True
+        self.stop_requested = False
+
+    def is_alive(self):
+        return self.running
+
+    def join(self, timeout=None):
+        self.events.append(("join", self.name))
+        if self.stop_requested and not self.stubborn:
+            self.running = False
+
+    def kill(self):
+        self.events.append(("kill", self.name))
+        self.running = False
+
+    def terminate(self):  # pragma: no cover - only on a broken pipe
+        self.events.append(("terminate", self.name))
+        self.running = False
+
+
+class _FakeConn:
+    def __init__(self, process):
+        self.process = process
+
+    def send(self, message):
+        self.process.events.append((message[0], self.process.name))
+        self.process.stop_requested = True
+
+    def close(self):
+        self.process.events.append(("close", self.process.name))
+
+
+def _engine_with_fake_workers(count, stubborn=()):
+    engine = _engine(DISPATCH_CASES["ties"], count)
+    events = []
+    for worker_id in range(count):
+        process = _FakeProcess(worker_id, events, stubborn=worker_id in stubborn)
+        engine.handles[worker_id] = engine_module._WorkerHandle(
+            worker_id=worker_id, process=process, conn=_FakeConn(process)
+        )
+    return engine, events
+
+
+class TestShutdown:
+    def test_every_worker_is_stopped_before_any_is_joined(self):
+        engine, events = _engine_with_fake_workers(3)
+        engine.shutdown()
+        assert events == (
+            [("stop", w) for w in range(3)]
+            + [event for w in range(3) for event in (("join", w), ("close", w))]
+        )
+        assert engine.handles == {}
+
+    def test_a_worker_outliving_the_grace_period_is_killed(self):
+        engine, events = _engine_with_fake_workers(3, stubborn={1})
+        engine.shutdown()
+        assert events[3:] == [
+            ("join", 0), ("close", 0),
+            ("join", 1), ("kill", 1), ("join", 1), ("close", 1),
+            ("join", 2), ("close", 2),
+        ]
+
+    def test_kill_stops_and_joins_one_worker_at_a_time(self):
+        engine, events = _engine_with_fake_workers(2)
+        engine.shutdown(kill=True)
+        assert events == [
+            ("kill", 0), ("join", 0), ("close", 0),
+            ("kill", 1), ("join", 1), ("close", 1),
+        ]
+        assert engine.handles == {}
+
+
 # ------------------------------------------------------------------ shards
 class TestJournalShards:
     def test_shard_writer_records_load_back(self, tmp_path):

@@ -1,10 +1,11 @@
-"""Differential tests: the shared VOLUME execution against per-node queries.
+"""Differential tests: the shared VOLUME executions against per-node queries.
 
 :func:`~repro.volume.model.run_volume_algorithm` first offers an algorithm
-every node at once (:meth:`VolumeAlgorithm.answer_all`);
+every node at once (:meth:`VolumeAlgorithm.answer_all`):
 :class:`~repro.volume.ComponentCount` answers with one walk per connected
-component.  The oracle is the same run with that hook patched to return
-``None``, so every node runs its own :meth:`ComponentCount.answer` query.
+component, :class:`~repro.volume.ChainColeVishkin` with one Cole–Vishkin
+execution over all nodes.  The oracle is the same run with those hooks
+patched to return ``None``, so every node runs its own ``answer`` query.
 Both runs must agree on the outputs, ``probes_per_node``,
 ``max_probes_used`` and ``declared_probes``, or raise the same exception
 type with the same message.
@@ -16,8 +17,10 @@ import contextlib
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ProbeError, SimulationError
+from repro.exceptions import AlgorithmError, ProbeError, SimulationError
 from repro.graphs import (
     Graph,
     HalfEdgeLabeling,
@@ -29,7 +32,13 @@ from repro.graphs import (
     random_tree,
     star,
 )
+from repro.local.algorithms.cole_vishkin import (
+    PREDECESSOR,
+    SUCCESSOR,
+    orient_path_inputs,
+)
 from repro.volume import (
+    ChainColeVishkin,
     ComponentCount,
     check_volume_order_invariance,
     fooled_constant_volume,
@@ -43,7 +52,9 @@ from repro.volume.model import ProbeOracle
 @contextlib.contextmanager
 def per_node_queries():
     """Disable the shared execution: every node runs its own query."""
-    with mock.patch.object(ComponentCount, "answer_all", lambda self, *args: None):
+    with mock.patch.object(
+        ComponentCount, "answer_all", lambda self, *args: None
+    ), mock.patch.object(ChainColeVishkin, "answer_all", lambda self, *args: None):
         yield
 
 
@@ -73,9 +84,9 @@ def assert_same(call):
     return shared
 
 
-def takes_shared_path(graph, algorithm, ids, declared_n=None):
+def takes_shared_path(graph, algorithm, ids, declared_n=None, inputs=None):
     n = graph.num_nodes if declared_n is None else declared_n
-    oracle = ProbeOracle(graph, None, ids)
+    oracle = ProbeOracle(graph, inputs, ids)
     return algorithm.answer_all(oracle, algorithm.probes(n), n) is not None
 
 
@@ -231,3 +242,253 @@ class TestLCAKeepsPerNodeQueries:
         volume = run_volume_algorithm(graph, ComponentCount())
         assert sorted(lca.outputs.items()) == sorted(volume.outputs.items())
         assert lca.max_probes_used == volume.max_probes_used == 32
+
+
+# ---------------------------------------------------------------------------
+# ChainColeVishkin: one Cole–Vishkin execution shared by every query.
+
+
+def run_chain(graph, ids=None, declared_n=None, algorithm=None, inputs="oriented"):
+    algorithm = ChainColeVishkin() if algorithm is None else algorithm
+    if ids is None:
+        ids = random_ids(graph, seed=graph.num_nodes)
+    if inputs == "oriented":
+        inputs = orient_path_inputs(graph)
+    return lambda: run_volume_algorithm(
+        graph, algorithm, inputs=inputs, ids=ids, declared_n=declared_n
+    )
+
+
+def relabeled(graph, changes):
+    """Index-order orientation with some half-edge labels replaced."""
+    inputs = orient_path_inputs(graph)
+    for half_edge, label in changes.items():
+        inputs[half_edge] = label
+    return inputs
+
+
+def path_probes(n, rounds):
+    """Successor hops capped at ``t + 4`` plus predecessor hops capped at 3."""
+    return [min(rounds + 4, n - 1 - v) + min(3, v) for v in range(n)]
+
+
+class TestChainColeVishkinSharedMatchesPerNode:
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 11, 12, 13, 17, 64, 100, 257, 1024])
+    def test_cycles(self, n):
+        # Cycles shorter than t + 8 = 12 wrap inside a query's window.
+        graph = cycle(n)
+        ids = random_ids(graph, seed=n)
+        algorithm = ChainColeVishkin()
+        rounds = algorithm._cv_rounds(n)
+        kind, outputs, probes, max_probes, declared = assert_same(run_chain(graph, ids))
+        assert kind == "result"
+        assert {label for _, label in outputs} <= {"c0", "c1", "c2"}
+        assert probes == [rounds + 7] * n
+        assert max_probes == declared == rounds + 7
+        assert takes_shared_path(graph, algorithm, ids, inputs=orient_path_inputs(graph))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 10, 33, 100, 300])
+    def test_paths(self, n):
+        graph = path(n)
+        ids = random_ids(graph, seed=n)
+        rounds = ChainColeVishkin()._cv_rounds(n)
+        record = assert_same(run_chain(graph, ids))
+        assert record[0] == "result"
+        assert record[2] == path_probes(n, rounds)
+        assert takes_shared_path(
+            graph, ChainColeVishkin(), ids, inputs=orient_path_inputs(graph)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [3, 6, 9, 14, 39])
+    def test_id_assignments(self, n, seed):
+        for graph in (cycle(n), path(n)):
+            record = assert_same(run_chain(graph, random_ids(graph, seed=seed)))
+            assert record[0] == "result"
+
+    def test_reversed_orientation_is_consistent(self):
+        graph = cycle(20)
+        inputs = HalfEdgeLabeling(graph)
+        for v, port in graph.half_edges():
+            inputs[(v, port)] = (
+                PREDECESSOR if orient_path_inputs(graph)[(v, port)] == SUCCESSOR else SUCCESSOR
+            )
+        ids = random_ids(graph, seed=3)
+        record = assert_same(run_chain(graph, ids, inputs=inputs))
+        assert record[0] == "result"
+        assert takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
+
+    def test_disjoint_union_with_isolated_nodes(self):
+        # orient_path_inputs orients a cycle only when it is the whole graph.
+        graph = disjoint_union([path(5), Graph(1), path(7), Graph(2), path(14)])
+        ids = random_ids(graph, seed=12)
+        record = assert_same(run_chain(graph, ids))
+        assert record[0] == "result"
+        assert [record[2][v] for v in (5, 13, 14)] == [0, 0, 0]
+        assert takes_shared_path(
+            graph, ChainColeVishkin(), ids, inputs=orient_path_inputs(graph)
+        )
+
+
+class TestChainColeVishkinFallback:
+    @pytest.mark.parametrize("node", [0, 4, 9])
+    def test_one_node_with_flipped_labels(self, node):
+        # The flipped node's predecessor does not name it as successor.
+        graph = cycle(10)
+        inputs = relabeled(
+            graph,
+            {
+                (node, port): PREDECESSOR
+                if orient_path_inputs(graph)[(node, port)] == SUCCESSOR
+                else SUCCESSOR
+                for port in range(2)
+            },
+        )
+        ids = random_ids(graph, seed=node)
+        assert_same(run_chain(graph, ids, inputs=inputs))
+        assert not takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
+
+    def test_successor_whose_predecessor_is_another_node(self):
+        # 0 -> 1 <- 2: node 1 names 2 as predecessor and 0 as successor,
+        # and 2 names 1 as successor, so every predecessor's successor is
+        # right, but node 0's successor has another predecessor.
+        graph = path(3)
+        inputs = HalfEdgeLabeling(
+            graph,
+            {(0, 0): SUCCESSOR, (1, 0): SUCCESSOR, (1, 1): PREDECESSOR, (2, 0): SUCCESSOR},
+        )
+        ids = [5, 2, 7]
+        assert_same(run_chain(graph, ids, inputs=inputs))
+        assert not takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
+
+    def test_both_ports_successor(self):
+        graph = cycle(8)
+        inputs = relabeled(graph, {(3, 0): SUCCESSOR, (3, 1): SUCCESSOR})
+        assert_same(run_chain(graph, inputs=inputs))
+
+    def test_no_orientation_labels(self):
+        # No SUCCESSOR port anywhere: no probes, and CV keeps id & 1.
+        graph = cycle(9)
+        ids = random_ids(graph, seed=4)
+        record = assert_same(run_chain(graph, ids, inputs=None))
+        assert record[0] == "result" and record[2] == [0] * 9
+        assert dict(record[1]) == {
+            (v, p): f"c{ids[v] & 1}" for v in range(9) for p in range(2)
+        }
+        assert takes_shared_path(graph, ChainColeVishkin(), ids)
+
+    def test_some_nodes_without_labels(self):
+        graph = cycle(12)
+        inputs = relabeled(graph, {(4, 0): "x", (4, 1): "x", (9, 1): None})
+        ids = random_ids(graph, seed=6)
+        assert_same(run_chain(graph, ids, inputs=inputs))
+        assert not takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
+
+    def test_duplicate_ids(self):
+        graph = cycle(6)
+        record = assert_same(run_chain(graph, ids=[1, 2, 3, 3, 4, 5]))
+        assert record == (
+            "raised",
+            SimulationError,
+            "identifiers must be distinct, one per node",
+        )
+
+    @pytest.mark.parametrize("declared_n", [2, 3, 5, 8, 10**4, 10**9])
+    def test_declared_n_differs_from_n(self, declared_n):
+        for graph in (cycle(20), path(15), cycle(5)):
+            assert_same(run_chain(graph, declared_n=declared_n))
+
+    def test_too_few_rounds_leave_a_color_above_five(self):
+        # id_exponent 1 at declared_n 2: no CV round, so ids stay colors.
+        graph = cycle(30)
+        ids = random_ids(graph, seed=1)
+        algorithm = ChainColeVishkin(id_exponent=1)
+        assert algorithm._cv_rounds(2) == 0
+        record = assert_same(run_chain(graph, ids, declared_n=2, algorithm=algorithm))
+        assert record == (
+            "raised", AlgorithmError, "chain CV failed to color the queried node"
+        )
+        assert not takes_shared_path(
+            graph, algorithm, ids, declared_n=2, inputs=orient_path_inputs(graph)
+        )
+
+    def test_budget_below_the_walk(self):
+        # A hook asked with a smaller budget than its walk declines.
+        graph = cycle(16)
+        algorithm = ChainColeVishkin()
+        oracle = ProbeOracle(graph, orient_path_inputs(graph), random_ids(graph, seed=1))
+        assert algorithm.answer_all(oracle, algorithm.probes(16) - 1, 16) is None
+        assert algorithm.answer_all(oracle, algorithm.probes(16), 16) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=24),
+        st.booleans(),
+        st.lists(st.sampled_from([SUCCESSOR, PREDECESSOR, None]), max_size=6),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_property_random_labels(self, n, closed, labels, seed):
+        graph = cycle(n) if closed and n >= 3 else path(n)
+        half_edges = list(graph.half_edges())
+        changes = {
+            half_edges[(seed * (i + 1)) % len(half_edges)]: label
+            for i, label in enumerate(labels)
+        }
+        assert_same(
+            run_chain(graph, random_ids(graph, seed=seed), inputs=relabeled(graph, changes))
+        )
+
+
+class TestChainColeVishkinWrappers:
+    class Shifted(ChainColeVishkin):
+        name = "chain-cv-shifted"
+
+        def answer(self, query):
+            return {port: label + "'" for port, label in super().answer(query).items()}
+
+    def test_subclass_overriding_answer_keeps_the_per_node_path(self):
+        graph = cycle(11)
+        algorithm = self.Shifted()
+        ids = random_ids(graph, seed=8)
+        inputs = orient_path_inputs(graph)
+        assert not takes_shared_path(graph, algorithm, ids, inputs=inputs)
+        record = assert_same(run_chain(graph, ids, algorithm=algorithm))
+        assert all(label.endswith("'") for _, label in record[1])
+
+    class Strict(ChainColeVishkin):
+        """Refuses one identifier: the hook raises, then every query does."""
+
+        name = "chain-cv-strict"
+
+        @staticmethod
+        def _cv_step(color, successor_color):
+            if color == 17:
+                raise AlgorithmError("equal colors across a path edge")
+            return ChainColeVishkin._cv_step(color, successor_color)
+
+    def test_hook_error_falls_back_to_the_first_query_error(self):
+        graph = cycle(12)
+        ids = [30 + v for v in range(12)]
+        ids[7] = 17
+        algorithm = self.Strict()
+        inputs = orient_path_inputs(graph)
+        with pytest.raises(AlgorithmError):
+            takes_shared_path(graph, algorithm, ids, inputs=inputs)
+        record = assert_same(run_chain(graph, ids, algorithm=algorithm))
+        assert record == ("raised", AlgorithmError, "equal colors across a path edge")
+
+    @pytest.mark.parametrize("n0", [2, 8, 64, 10**6])
+    def test_fooled_constant_volume(self, n0):
+        graph = cycle(40)
+        fooled = fooled_constant_volume(ChainColeVishkin(), n0)
+        assert_same(run_chain(graph, algorithm=fooled))
+
+    @pytest.mark.parametrize("n", [3, 10, 33])
+    def test_lca_runner_agrees(self, n):
+        for graph in (cycle(n), path(n)):
+            inputs = orient_path_inputs(graph)
+            lca = run_lca_algorithm(graph, ChainColeVishkin(), inputs=inputs)
+            volume = run_volume_algorithm(graph, ChainColeVishkin(), inputs=inputs)
+            assert sorted(lca.outputs.items()) == sorted(volume.outputs.items())
+            assert lca.max_probes_used == volume.max_probes_used
+            assert lca.far_probes_used == 0
