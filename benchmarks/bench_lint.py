@@ -16,6 +16,7 @@ Two claims are asserted before any timing is trusted:
 """
 
 import json
+import os
 import time
 
 from conftest import RESULTS_DIR, write_report
@@ -62,6 +63,8 @@ def run_experiment(cache_dir):
             "cold_seconds": round(cold_seconds, 6),
             "warm_seconds": round(warm_seconds, 6),
             "speedup": round(speedup, 2),
+            # Timings depend on the cores this process may run on.
+            "cores": len(os.sched_getaffinity(0)),
         }
     ]
     lines = [

@@ -9,9 +9,11 @@ suites.  This package proves them at lint time, on every file:
 ========  ==============================================================
 REP001    no unseeded / global randomness in library code
 REP002    no unordered (set / dict-view) iteration in ordered-output
-          modules without ``sorted()``
+          modules without ``sorted()`` (engine-backed: the zero-hop
+          case of REP010)
 REP003    the certificate checker stays statically engine-free
-REP004    pool-bound callables are module-level and picklable
+          (engine-backed: the import-edge case of REP012's reach walk)
+REP004    retired — pool submission APIs have no call site left
 REP005    no wall-clock reads in replay-sensitive paths
 REP006    every ``REPRO_*`` knob is declared in ``repro.utils.env`` and
           read through its typed accessors
@@ -26,8 +28,9 @@ REP012    no engine *call* reachable from the certificate checker, even
           through sanctioned lazy function-level imports
 ========  ==============================================================
 
-REP001–REP009 are single-pass, per-file rules.  REP010–REP012 consume
-the whole-program dataflow engine: per-function summaries
+REP001 and REP005–REP009 are single-pass, per-file rules.  REP002,
+REP003 and REP010–REP012 are views over the whole-program dataflow
+engine: per-function summaries and module-level import edges
 (:mod:`repro.analysis.summaries`, cached per content hash by
 :mod:`repro.analysis.cache`) propagated to a fixed point over the
 project call graph (:mod:`repro.analysis.dataflow`) on every run.

@@ -7,15 +7,17 @@ context-free products of analysis:
 * the raw (pre-suppression, pre-baseline) per-file rule findings;
 * the :class:`~repro.analysis.summaries.FileFacts` bundle (function
   records, import-edge candidates, module globals);
-* the source text (needed to rebuild suppression directives and report
-  snippets without re-reading at a racy later moment).
+* the source text (needed to rebuild report snippets without
+  re-reading at a racy later moment);
+* the file's suppression directives, so a warm hit never re-tokenizes
+  the source to find them.
 
-On a warm hit the driver skips ``ast.parse`` and every per-file rule
-entirely — that is where the whole-repo speedup comes from.  Everything
-cross-file (import graph, taint propagation, fork reachability) is
-recomputed from the cached facts on every run, so invalidation is
-transitively sound *by construction*: there is nothing stale to
-invalidate.
+On a warm hit the driver skips ``ast.parse``, the tokenizer, and every
+per-file rule entirely — that is where the whole-repo speedup comes
+from.  Everything cross-file (import and call reachability, taint
+propagation) is recomputed from the cached facts on every run, so
+invalidation is transitively sound *by construction*: there is nothing
+stale to invalidate.
 
 The salt folds in:
 
@@ -37,17 +39,18 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.analysis.core import Finding
 from repro.analysis.summaries import FileFacts
+from repro.analysis.suppressions import Suppressions
 
 #: Bump on any change to extraction logic, dep encoding, or per-file
 #: rule behavior: every cached record becomes a miss.
-ANALYSIS_VERSION = 5
+ANALYSIS_VERSION = 6
 
-#: Record format sanity marker.
-_FORMAT = "repro-lint-cache-v1"
+#: Record format sanity marker (v2: records carry suppressions).
+_FORMAT = "repro-lint-cache-v2"
 
 
 def _env_registry_digest() -> str:
@@ -85,6 +88,7 @@ class CachedFile:
     findings: List[Finding]
     facts: FileFacts
     source: str
+    suppressions: Suppressions
 
 
 class LintCache:
@@ -153,9 +157,10 @@ class LintCache:
             findings = [Finding.from_cache_dict(f) for f in payload["findings"]]
             facts = FileFacts.from_dict(payload["facts"])
             source = payload["source"]
-        except (KeyError, TypeError, ValueError):
+            suppressions = Suppressions.from_dict(payload["suppressions"])
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        return CachedFile(findings=findings, facts=facts, source=source)
+        return CachedFile(findings, facts, source, suppressions)
 
     def store(
         self,
@@ -164,6 +169,7 @@ class LintCache:
         findings: Sequence[Finding],
         facts: FileFacts,
         source: str,
+        suppressions: Suppressions,
     ) -> None:
         payload = {
             "format": _FORMAT,
@@ -173,6 +179,7 @@ class LintCache:
             "findings": [f.cache_dict() for f in findings],
             "facts": facts.as_dict(),
             "source": source,
+            "suppressions": suppressions.as_dict(),
         }
         record_path = self._record_path(rel_path)
         tmp = record_path.with_suffix(f".tmp.{os.getpid()}")

@@ -1,11 +1,10 @@
 """The declarative contract registry shared by every rule family.
 
-PR 6 and PR 7 each patched the ordered-output stem list inside
-``rules/ordering.py`` ad hoc; this module is the single place where the
-project's determinism *vocabulary* lives, so the per-statement rules
-(REP002), the interprocedural taint rules (REP010), the fork-safety
-rules (REP011), and the engine-freedom rules (REP003/REP012) can never
-drift apart on what counts as a source, a sink, or an entrypoint.
+This module is the single place where the project's determinism
+*vocabulary* lives, so the set-order rules (REP002 and the
+interprocedural REP010), the fork-safety rule (REP011), and the
+engine-freedom rules (REP003/REP012) can never drift apart on what
+counts as a source, a sink, or an entrypoint.
 
 Everything here is data, not behavior:
 
@@ -56,7 +55,7 @@ ORDER_INSENSITIVE_SINKS = frozenset(
 
 #: Dict methods returning unordered-contract views (dict order is
 #: insertion order, which is itself a process artifact for our
-#: canonical-bytes purposes — same stance as REP002 since PR 4).
+#: canonical-bytes purposes).
 UNORDERED_VIEW_METHODS = frozenset({"keys", "values", "items"})
 
 

@@ -12,13 +12,14 @@ Every rule is a class decorated with :func:`register`, declaring
   **once**, dispatching each node to every interested rule — adding a
   rule never adds a traversal;
 * optional per-file hooks (``start_file`` / ``end_file``) and a
-  project-wide ``finalize`` hook for whole-program rules: the import
-  graph (REP003), the interprocedural dataflow family (REP010–REP012)
-  which consumes the per-function summaries the driver collects.
+  project-wide ``finalize`` hook for whole-program rules: the views over
+  the dataflow engine (REP002, REP003, REP010–REP012) which consume the
+  per-function summaries and import edges the driver collects.
 
 Incrementality: per-file work (parse, per-file rule findings, dataflow
-facts, import candidates, suppressions) is cached keyed on the file's
-content sha256 (:mod:`repro.analysis.cache`); whole-program judgments
+facts, import candidates, suppression directives) is cached keyed on the
+file's content sha256 (:mod:`repro.analysis.cache`), so a warm hit
+neither parses nor tokenizes the file; whole-program judgments
 are *never* cached — they are recomputed each run from the per-file
 facts, which is what makes invalidation transitively sound by
 construction: change one file and every cross-file conclusion downstream
@@ -136,13 +137,21 @@ class ModuleView:
     rules may rely on whether the file was parsed this run or replayed
     from the incremental cache."""
 
-    def __init__(self, rel_path: str, module: str, source: str):
+    def __init__(
+        self,
+        rel_path: str,
+        module: str,
+        source: str,
+        suppressions: Optional[Suppressions] = None,
+    ):
         self.rel_path = rel_path
         self.module = module
         self.source = source
         self.lines = source.splitlines()
         self.segments: Tuple[str, ...] = tuple(module.split("."))
-        self.suppressions = Suppressions.scan(source)
+        self.suppressions = (
+            Suppressions.scan(source) if suppressions is None else suppressions
+        )
 
     @property
     def is_scaffolding(self) -> bool:
@@ -170,7 +179,6 @@ class FileContext(ModuleView):
         self.tree = tree
         #: local name -> fully qualified imported module/object name.
         self.aliases = _collect_aliases(tree)
-        self._nested_functions: Optional[frozenset] = None
 
     # -- classification -----------------------------------------------------
     @property
@@ -182,22 +190,6 @@ class FileContext(ModuleView):
             or first_dir in _SCAFFOLD_SEGMENTS
             or any(stem.startswith(prefix) for prefix in _SCAFFOLD_PREFIXES)
         )
-
-    @property
-    def nested_function_names(self) -> frozenset:
-        """Names of functions defined inside other functions (computed on
-        first use; needed by the multiprocessing-safety rule)."""
-        if self._nested_functions is None:
-            names = set()
-            for node in ast.walk(self.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for child in ast.walk(node):
-                        if child is node:
-                            continue
-                        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            names.add(child.name)
-            self._nested_functions = frozenset(names)
-        return self._nested_functions
 
     # -- helpers ------------------------------------------------------------
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
@@ -239,14 +231,10 @@ class Project:
         facts: Optional[Dict[str, "FileFacts"]] = None,
     ):
         self.views = list(views)
-        self.files = [view for view in self.views if isinstance(view, FileContext)]
-        self.by_module: Dict[str, ModuleView] = {view.module: view for view in self.views}
+        self.by_path: Dict[str, ModuleView] = {view.rel_path: view for view in self.views}
         #: module -> FileFacts (cached or freshly extracted).
         self.facts: Dict[str, "FileFacts"] = facts or {}
         self._whole_program: Optional["WholeProgram"] = None
-
-    def __iter__(self) -> Iterator[ModuleView]:
-        return iter(self.views)
 
     @property
     def whole_program(self) -> "WholeProgram":
@@ -258,6 +246,21 @@ class Project:
 
             self._whole_program = WholeProgram(self.facts)
         return self._whole_program
+
+    def finding(
+        self, rule: str, path: str, line: int, message: str, col: int = 1
+    ) -> Finding:
+        """A whole-program finding at ``path:line``, carrying that line's
+        source so its fingerprint matches a per-file one."""
+        view = self.by_path.get(path)
+        return Finding(
+            rule=rule,
+            path=path,
+            line=line,
+            col=col,
+            message=message,
+            source_line=view.source_line(line) if view is not None else "",
+        )
 
 
 class Rule:
@@ -498,7 +501,7 @@ def run_lint(
         if cached is not None:
             result.cache_hits += 1
             raw_findings.extend(cached.findings)
-            view = ModuleView(rel, cached.facts.module, cached.source)
+            view = ModuleView(rel, cached.facts.module, cached.source, cached.suppressions)
             views.append(view)
             facts[cached.facts.module] = cached.facts
             continue
@@ -525,6 +528,7 @@ def run_lint(
                     [finding],
                     FileFacts(module=Path(rel).stem, rel_path=rel, is_scaffolding=False),
                     source="",
+                    suppressions=Suppressions({}, frozenset()),
                 )
             continue
         annotate_parents(tree)
@@ -552,7 +556,9 @@ def run_lint(
         file_facts = build_file_facts(ctx)
         facts[ctx.module] = file_facts
         if cache is not None:
-            cache.store(rel, raw_bytes, file_findings, file_facts, source=source)
+            cache.store(
+                rel, raw_bytes, file_findings, file_facts, source, ctx.suppressions
+            )
 
     project = Project(views, facts)
     for rule in rules:

@@ -15,10 +15,15 @@ each run:
   returns an unordered container or a sequence of them (the element
   fact), and which of its parameters flow into
   serialization sinks (transitively, through further calls);
-* the three whole-program queries the rules consume:
-  :meth:`WholeProgram.taint_hits` (REP010),
+* one **reach graph** — module-level import edges between modules and
+  call edges between functions — walked by a single BFS
+  (:meth:`WholeProgram._reach`);
+* the whole-program queries the rules consume:
+  :meth:`WholeProgram.order_sites` (REP002, the zero-hop case of
+  REP010), :meth:`WholeProgram.taint_hits` (REP010),
   :meth:`WholeProgram.fork_hazards` (REP011), and
-  :meth:`WholeProgram.engine_reach` (REP012).
+  :meth:`WholeProgram.engine_reach` (REP003 for import-only chains,
+  REP012 for call chains).
 
 Termination: the summary lattice is finite and the transfer function is
 monotone — taint kinds and param-sink records are only ever *added*, and
@@ -29,8 +34,10 @@ re-triggers propagation).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from pathlib import PurePosixPath
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.analysis import contracts
 from repro.analysis.summaries import (
@@ -38,6 +45,7 @@ from repro.analysis.summaries import (
     DepSet,
     FileFacts,
     FunctionRecord,
+    ITERATION_TAINT,
     MAX_EVAL_DEPTH,
 )
 
@@ -76,6 +84,17 @@ class Summary:
 
 
 @dataclass(frozen=True)
+class OrderSite:
+    """REP002: an unlaundered iteration over an unordered value inside an
+    ordered-output module."""
+
+    path: str
+    line: int
+    col: int
+    reason: str
+
+
+@dataclass(frozen=True)
 class TaintHit:
     """REP010: a nondeterministic value reaching a serialization sink."""
 
@@ -99,13 +118,35 @@ class ForkHazard:
 
 @dataclass(frozen=True)
 class EngineReach:
-    """REP012: a checker function whose call chain enters the engine."""
+    """REP003 / REP012: a checker root whose reach chain enters the
+    engine; ``calls`` tells a call chain (REP012) from an import-only
+    one (REP003)."""
 
-    caller: str
+    calls: bool
+    root: str
     target: str
     path: str
     line: int
     chain: Chain
+
+
+#: A reach-graph node: ``("module", name)`` or ``("function", key)``.
+Node = Tuple[str, str]
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One reach-graph step: a module-level import (module to module)
+    or a call or function reference (function to function)."""
+
+    kind: str  # "import" or "call"
+    target: Node
+    path: str
+    line: int
+
+    def render(self) -> str:
+        verb = "imports" if self.kind == "import" else "calls"
+        return _step(self.path, self.line, f"{verb} {self.target[1]}")
 
 
 class WholeProgram:
@@ -130,6 +171,17 @@ class WholeProgram:
         self._callers: Dict[str, Set[str]] = {}
         self._build_reverse_edges()
         self._propagate()
+        self._edge_cache: Dict[Node, List[Edge]] = {}
+        for module in sorted(facts):
+            rel_path = facts[module].rel_path
+            # A submodule's import executes its package __init__ first.
+            package = module.rsplit(".", 1)[0] if "." in module else ""
+            targets = [(package, 1)] + list(facts[module].import_edges)
+            self._edge_cache[("module", module)] = [
+                Edge("import", ("module", target), rel_path, line)
+                for target, line in targets
+                if target in facts and target != module
+            ]
 
     # -- resolution ---------------------------------------------------------
     def resolve(self, candidate: str) -> Tuple[str, ...]:
@@ -378,14 +430,19 @@ class WholeProgram:
     def taint_hits(self) -> List[TaintHit]:
         """REP010 raw material: every nondeterministic-value-to-sink
         flow, anchored at the sink call line, with the full witness
-        chain.  Set-order hits whose *origin* lies in an ordered-output
-        module are left to REP002 (which flags the iteration itself)."""
+        chain.  A set-order flow born at a REP002 site and sunk in the
+        same file is the zero-hop case REP002 already reports at the
+        iteration itself."""
         hits: List[TaintHit] = []
         seen: Set[Tuple[str, str, str, int]] = set()
+        zero_hop = {
+            (site.path, _step(site.path, site.line, ITERATION_TAINT))
+            for site in self.order_sites()
+        }
 
         def emit(kind: str, sink: str, path: str, line: int, chain: Chain) -> None:
             dedup = (kind, sink, path, line)
-            if dedup in seen:
+            if dedup in seen or (path, chain[0]) in zero_hop:
                 return
             seen.add(dedup)
             hits.append(TaintHit(kind=kind, sink=sink, path=path, line=line, chain=chain))
@@ -459,23 +516,22 @@ class WholeProgram:
                                     ps.sink_line,
                                     chain + (hop,) + ps.hops,
                                 )
-        # Drop set-order hits born inside ordered-output modules: REP002
-        # already flags unordered iteration there, line-precisely.
-        filtered: List[TaintHit] = []
-        for hit in hits:
-            if hit.kind == contracts.TAINT_ORDER:
-                origin_path = hit.chain[0].split(":", 1)[0] if hit.chain else ""
-                if self._path_is_ordered_output(origin_path) and origin_path == hit.path:
-                    continue
-            filtered.append(hit)
-        return filtered
+        return hits
 
-    def _path_is_ordered_output(self, rel_path: str) -> bool:
-        for facts in self.facts.values():
-            if facts.rel_path == rel_path:
-                segments = facts.module.split(".")
-                return contracts.is_ordered_output_module(segments[-1], segments)
-        return False
+    def order_sites(self) -> List[OrderSite]:
+        """REP002 raw material: every iteration over an unordered value,
+        not laundered by an order-insensitive builtin, in a function of
+        an ordered-output module."""
+        sites: List[OrderSite] = []
+        for key in sorted(self.functions):
+            record = self.functions[key]
+            stem = PurePosixPath(record.rel_path).stem
+            if contracts.is_ordered_output_module(stem, record.module.split(".")):
+                sites.extend(
+                    OrderSite(record.rel_path, line, col, reason)
+                    for line, col, reason in record.order_sites
+                )
+        return sites
 
     # -- fork safety (REP011) ------------------------------------------------
     def fork_roots(self) -> Dict[str, str]:
@@ -494,33 +550,40 @@ class WholeProgram:
                     add(key, f"@{decorator} cell runner")
         return roots
 
-    def _call_reach(
-        self, root: str, stop: Optional[Set[str]] = None
-    ) -> Dict[str, Chain]:
-        """BFS over call (and function-reference) edges from ``root``:
-        reached key -> chain of call-site steps."""
-        chains: Dict[str, Chain] = {root: ()}
-        queue: List[str] = [root]
-        while queue:
-            key = queue.pop(0)
-            record = self.functions[key]
-            targets: List[Tuple[str, int]] = []
-            for call in record.calls:
-                for target in self._resolve_all(call.candidates):
-                    targets.append((target, call.line))
+    def _edges(self, node: Node) -> List[Edge]:
+        """Out-edges of a reach-graph node (function edges built on first
+        use; module edges are built with the engine)."""
+        edges = self._edge_cache.get(node)
+        if edges is None:
+            record = self.functions[node[1]]
+            targets: List[Tuple[str, int]] = [
+                (target, call.line)
+                for call in record.calls
+                for target in self._resolve_all(call.candidates)
+            ]
             for dep in sorted(record.return_deps, key=repr):
                 if dep[0] == "fref":
-                    for target in self.resolve(dep[1]):
-                        targets.append((target, dep[2]))
-            for target, line in targets:
-                if target in chains:
-                    continue
-                if stop is not None and target in stop:
-                    continue
-                chains[target] = chains[key] + (
-                    _step(record.rel_path, line, f"calls {target}"),
-                )
-                queue.append(target)
+                    targets.extend((target, dep[2]) for target in self.resolve(dep[1]))
+            edges = [
+                Edge("call", ("function", target), record.rel_path, line)
+                for target, line in targets
+            ]
+            self._edge_cache[node] = edges
+        return edges
+
+    def _reach(
+        self, root: Node, stop: FrozenSet[Node] = frozenset()
+    ) -> Dict[Node, Tuple[Edge, ...]]:
+        """The one reachability walk: BFS over the reach graph from
+        ``root``, never entering ``stop``; reached node -> edge chain."""
+        chains: Dict[Node, Tuple[Edge, ...]] = {root: ()}
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for edge in self._edges(node):
+                if edge.target not in chains and edge.target not in stop:
+                    chains[edge.target] = chains[node] + (edge,)
+                    queue.append(edge.target)
         return chains
 
     def fork_hazards(self, parent_scoped_knobs: FrozenSet[str] = frozenset()) -> List[ForkHazard]:
@@ -533,7 +596,8 @@ class WholeProgram:
         roots = self.fork_roots()
         for root in sorted(roots):
             why = roots[root]
-            for key, chain in sorted(self._call_reach(root).items()):
+            for (_, key), edges in sorted(self._reach(("function", root)).items()):
+                chain = tuple(edge.render() for edge in edges)
                 record = self.functions[key]
                 if self._is_scaffold(record.module):
                     continue
@@ -583,56 +647,58 @@ class WholeProgram:
                         )
         return hazards
 
-    # -- engine freedom (REP012) ---------------------------------------------
+    # -- engine freedom (REP003 / REP012) -------------------------------------
     def engine_reach(self) -> List[EngineReach]:
-        """REP012 raw material: call edges from checker-module functions
-        that (transitively) enter an engine module.  Producer modules
-        (``certify``) are the sanctioned boundary — traversal does not
-        continue through them."""
-        produced: Set[str] = {
-            key
+        """REP003 and REP012 raw material, from one reach walk per checker
+        root.  A checker module's walk follows module-level imports
+        only: each first edge into an engine module is an import-only
+        crossing (REP003).  A checker function's walk follows calls: its
+        shallowest engine function is a call crossing (REP012), anchored
+        at the function's first call edge.  Producer functions
+        (``certify``) are the sanctioned boundary — walks do not enter
+        them."""
+        producers = frozenset(
+            ("function", key)
             for key, record in self.functions.items()
             if contracts.is_producer_module(record.module)
-        }
+        )
+        roots: List[Node] = [
+            ("module", module) for module in sorted(self.facts)
+        ] + [("function", key) for key in sorted(self.functions)]
         out: List[EngineReach] = []
-        seen: Set[Tuple[str, str]] = set()
-        for key in sorted(self.functions):
-            record = self.functions[key]
-            if not contracts.is_checker_module(record.module):
+        anchors: Set[Tuple[bool, str, int]] = set()
+        for root in roots:
+            module = self._module_of(root)
+            if not contracts.is_checker_module(module) or self._is_scaffold(module):
                 continue
-            if self._is_scaffold(record.module):
-                continue
-            chains = self._call_reach(key, stop=produced)
-            # Report the *shallowest* engine crossing per checker function.
-            best: Optional[Tuple[int, str, Chain]] = None
-            for target, chain in chains.items():
-                target_module = self.functions[target].module
-                if not contracts.is_engine_module(target_module):
-                    continue
-                if best is None or len(chain) < best[0]:
-                    best = (len(chain), target, chain)
-            if best is None:
-                continue
-            _, target, chain = best
-            dedup = (key, target)
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            # Anchor at the first call edge leaving this function.
-            first_line = record.line
-            if chain:
-                first = chain[0]
-                try:
-                    first_line = int(first.split(":", 2)[1])
-                except (IndexError, ValueError):
-                    pass
-            out.append(
-                EngineReach(
-                    caller=key,
-                    target=target,
-                    path=record.rel_path,
-                    line=first_line,
-                    chain=(_step(record.rel_path, record.line, key),) + chain,
+            crossings = [
+                (node, edges)
+                for node, edges in self._reach(root, stop=producers).items()
+                if edges and contracts.is_engine_module(self._module_of(node))
+            ]
+            calls = root[0] == "function"
+            if calls and crossings:
+                crossings = [min(crossings, key=lambda crossing: len(crossing[1]))]
+            for node, edges in sorted(crossings):
+                anchor = edges[0] if calls else next(
+                    edge
+                    for edge in edges
+                    if contracts.is_engine_module(self._module_of(edge.target))
                 )
-            )
+                if (calls, anchor.path, anchor.line) in anchors:
+                    continue
+                anchors.add((calls, anchor.path, anchor.line))
+                out.append(
+                    EngineReach(
+                        calls=calls,
+                        root=root[1],
+                        target=node[1],
+                        path=anchor.path,
+                        line=anchor.line,
+                        chain=(root[1],) + tuple(edge.render() for edge in edges),
+                    )
+                )
         return out
+
+    def _module_of(self, node: Node) -> str:
+        return node[1] if node[0] == "module" else self.functions[node[1]].module

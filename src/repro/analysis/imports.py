@@ -1,4 +1,4 @@
-"""Static module-level import graph over a linted project.
+"""Static module-level import edges of one linted file.
 
 Only imports executed *at module import time* create edges: statements in
 the module body, including inside top-level ``try``/``if`` blocks (import
@@ -16,28 +16,18 @@ one for a purity check).
 
 Split for the incremental cache: :func:`extract_import_edges` derives a
 file's raw import targets from its AST alone (cacheable per content
-hash), while :class:`ImportGraph` filters those candidates against the
-*global* module set at graph-build time — so a cached file never needs
-to know which other files exist.
+hash), while the whole-program engine (:mod:`repro.analysis.dataflow`)
+keeps only the candidates that name project modules when it builds its
+reach graph — so a cached file never needs to know which other files
+exist.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import FileContext, Project
-
-
-@dataclass(frozen=True)
-class ImportEdge:
-    """``importer`` imports ``imported`` at ``path:line``."""
-
-    importer: str
-    imported: str
-    path: str
-    line: int
+from repro.analysis.core import FileContext
 
 
 def _is_type_checking_guard(node: ast.stmt) -> bool:
@@ -92,20 +82,21 @@ def _resolve_from(node: ast.ImportFrom, importer: str) -> Optional[str]:
     return ".".join(base_parts) or None
 
 
-def extract_import_edges(ctx: FileContext) -> List[ImportEdge]:
-    """Raw import-target candidates for one file, *unfiltered* — every
-    dotted name (with ancestors) the module-level imports could execute.
-    :class:`ImportGraph` later keeps only candidates that name project
-    modules.  Context-free by design so the result caches per file."""
+def extract_import_edges(ctx: FileContext) -> List[Tuple[str, int]]:
+    """Raw ``(target, line)`` import candidates for one file,
+    *unfiltered* — every dotted name (with ancestors) the module-level
+    imports could execute.  The engine later keeps only candidates that
+    name project modules.  Context-free by design so the result caches
+    per file."""
     importer = ctx.module
-    edges: List[ImportEdge] = []
+    edges: List[Tuple[str, int]] = []
     seen: Set[Tuple[str, int]] = set()
 
     def add(target: str, line: int) -> None:
         key = (target, line)
         if key not in seen:
             seen.add(key)
-            edges.append(ImportEdge(importer, target, ctx.rel_path, line))
+            edges.append(key)
 
     for node in _module_level_imports(ctx.tree):
         if isinstance(node, ast.Import):
@@ -123,49 +114,3 @@ def extract_import_edges(ctx: FileContext) -> List[ImportEdge]:
                     add(f"{base}.{alias.name}", node.lineno)
     return edges
 
-
-class ImportGraph:
-    """Module -> module edges restricted to modules inside the project."""
-
-    def __init__(
-        self,
-        modules: Set[str],
-        candidate_edges: Dict[str, Sequence[Tuple[str, int]]],
-        rel_paths: Dict[str, str],
-    ):
-        self.modules = set(modules)
-        #: importer module -> list of edges (project-internal only).
-        self.edges: Dict[str, List[ImportEdge]] = {}
-        for importer in sorted(candidate_edges):
-            rel_path = rel_paths.get(importer, "")
-            kept: List[ImportEdge] = []
-            # A submodule's import executes its package __init__ first.
-            if "." in importer:
-                package = importer.rsplit(".", 1)[0]
-                if package in self.modules:
-                    kept.append(ImportEdge(importer, package, rel_path, 1))
-            for imported, line in candidate_edges[importer]:
-                if imported in self.modules and imported != importer:
-                    kept.append(ImportEdge(importer, imported, rel_path, line))
-            self.edges[importer] = kept
-
-    @classmethod
-    def from_project(cls, project: Project) -> "ImportGraph":
-        candidate_edges = {
-            module: facts.import_edges for module, facts in project.facts.items()
-        }
-        rel_paths = {module: facts.rel_path for module, facts in project.facts.items()}
-        return cls(set(project.facts), candidate_edges, rel_paths)
-
-    def reachable_from(self, root: str) -> Dict[str, Tuple[ImportEdge, ...]]:
-        """BFS closure: reached module -> the edge chain that got there."""
-        chains: Dict[str, Tuple[ImportEdge, ...]] = {root: ()}
-        queue = [root]
-        while queue:
-            module = queue.pop(0)
-            for edge in self.edges.get(module, ()):
-                if edge.imported == module or edge.imported in chains:
-                    continue
-                chains[edge.imported] = chains[module] + (edge,)
-                queue.append(edge.imported)
-        return chains

@@ -8,8 +8,6 @@ from repro.analysis.rules import (  # noqa: F401
     forksafety,
     hygiene,
     interproc,
-    multiprocessing_safety,
-    ordering,
     purity,
     randomness,
     wallclock,

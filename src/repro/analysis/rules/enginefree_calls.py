@@ -16,14 +16,14 @@ verification — precisely what certificate independence forbids.  The
 dynamic fresh-interpreter test only catches this if the offending branch
 happens to run.
 
-This rule closes the gap with the call graph instead of the import
-graph: function-level imports register as alias-resolved *call edges* in
-the per-function summaries, so walking calls from every checker-module
+This rule closes the gap with the call half of the engine's reach walk
+(:meth:`~repro.analysis.dataflow.WholeProgram.engine_reach`, shared with
+REP003): function-level imports register as alias-resolved *call edges*
+in the per-function summaries, so walking calls from every checker-module
 function reaches the lazy case REP003 must ignore.  The producer half
-(``certify``) remains the single sanctioned boundary — traversal stops
-there, matching REP003's exemption.  Each checker function reports its
-shallowest engine crossing, anchored at the first outgoing call edge of
-the chain.
+(``certify``) remains the single sanctioned boundary — the walk does not
+enter it.  Each checker function reports its shallowest engine crossing,
+anchored at the first outgoing call edge of the chain.
 """
 
 from __future__ import annotations
@@ -45,23 +45,13 @@ class EngineFreeCallRule(Rule):
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
-        if not project.facts:
-            return
-        engine = project.whole_program
-        for reach in engine.engine_reach():
-            view = next(
-                (v for v in project.views if v.rel_path == reach.path), None
-            )
-            chain = " -> ".join(reach.chain)
-            yield Finding(
-                rule=self.code,
-                path=reach.path,
-                line=reach.line,
-                col=1,
-                message=(
-                    f"checker function {reach.caller} reaches engine function "
-                    f"{reach.target} through calls ({chain}); checking a "
-                    "certificate must not execute the engine"
-                ),
-                source_line=view.source_line(reach.line) if view is not None else "",
-            )
+        for reach in project.whole_program.engine_reach():
+            if reach.calls:
+                yield project.finding(
+                    self.code,
+                    reach.path,
+                    reach.line,
+                    f"checker function {reach.root} reaches engine function "
+                    f"{reach.target} through calls ({' -> '.join(reach.chain)}); "
+                    "checking a certificate must not execute the engine",
+                )

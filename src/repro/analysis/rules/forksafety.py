@@ -1,9 +1,7 @@
 """REP011 — deep fork safety for worker-reachable code.
 
-REP004 checks the *surface* of a pool submission: the callable handed to
-a pool must be a module-level function (picklable under the spawn start
-method).  This rule checks everything *behind* the project's own fork
-boundaries.  Starting from the fork roots —
+This rule checks everything *behind* the project's own fork boundaries.
+Starting from the fork roots —
 
 * ``@register_runner`` cell runners (executed inside a forked
   scheduler worker), and
@@ -52,8 +50,6 @@ class ForkSafetyRule(Rule):
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
-        if not project.facts:
-            return
         try:
             from repro.utils.env import parent_scoped_knobs
 
@@ -62,15 +58,9 @@ class ForkSafetyRule(Rule):
             parent_knobs = frozenset()
         engine = project.whole_program
         for hazard in engine.fork_hazards(parent_scoped_knobs=parent_knobs):
-            view = next(
-                (v for v in project.views if v.rel_path == hazard.path), None
-            )
-            chain = " -> ".join(hazard.chain)
-            yield Finding(
-                rule=self.code,
-                path=hazard.path,
-                line=hazard.line,
-                col=1,
-                message=f"{hazard.hazard}; reachable: {chain}",
-                source_line=view.source_line(hazard.line) if view is not None else "",
+            yield project.finding(
+                self.code,
+                hazard.path,
+                hazard.line,
+                f"{hazard.hazard}; reachable: {' -> '.join(hazard.chain)}",
             )

@@ -1,14 +1,14 @@
-"""REP010 — interprocedural determinism taint into serialization sinks.
+"""REP010 and REP002 — determinism taint into serialization output.
 
-The single-pass rules catch nondeterminism *at the statement that
-commits it*: REP002 sees a set iterated inside a codec module, REP001
-sees ``random.random()`` in library code.  What they provably cannot see
-is the cross-call shape — a helper three modules away returns an
-unseeded sample, the value rides through two plumbing functions, and
-only then lands in ``encode_problem`` / ``journal.append`` /
-``encode_result``.  Every hop is individually innocent; the *flow* is
-the bug, and it is exactly the class the fresh-interpreter replay suites
-keep re-discovering dynamically, one incident at a time.
+**REP010** (interprocedural).  The per-file rules catch nondeterminism
+*at the statement that commits it*: REP001 sees ``random.random()`` in
+library code.  What they provably cannot see is the cross-call shape — a
+helper three modules away returns an unseeded sample, the value rides
+through two plumbing functions, and only then lands in
+``encode_problem`` / ``journal.append`` / ``encode_result``.  Every hop
+is individually innocent; the *flow* is the bug, and it is exactly the
+class the fresh-interpreter replay suites keep re-discovering
+dynamically, one incident at a time.
 
 This rule consumes the whole-program engine
 (:mod:`repro.analysis.dataflow`): per-function summaries propagated to a
@@ -22,9 +22,17 @@ fixed point over the project call graph, covering both directions —
 Findings are anchored at the **sink call line** with the full witness
 chain in the message, so a single suppression on the sink line silences
 the whole chain (the sink is where a human must decide the flow is
-acceptable).  Set-order taint that both originates and sinks inside one
-ordered-output module is left to REP002, which already flags the
-iteration line itself.
+acceptable).
+
+**REP002** is the zero-hop case: inside an ordered-output module the
+module's own bytes are the sink, so every iteration over an unordered
+value (a ``set``, a dict view, or a variable holding one) is reported
+where the summary extractor creates its set-order taint — unless an
+order-insensitive builtin (``sorted``, ``min``, ``len``, ``set``, ...)
+consumes the comprehension directly, or it builds a set.  Wrap the
+iterable in ``sorted(...)``, or suppress with a justification when the
+loop is genuinely order-free.  A set-order flow born at such a site and
+sunk in the same file is left to REP002; REP010 reports the rest.
 """
 
 from __future__ import annotations
@@ -47,22 +55,34 @@ class InterproceduralTaintRule(Rule):
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
-        if not project.facts:
-            return
-        engine = project.whole_program
-        for hit in engine.taint_hits():
-            view = next(
-                (v for v in project.views if v.rel_path == hit.path), None
+        for hit in project.whole_program.taint_hits():
+            yield project.finding(
+                self.code,
+                hit.path,
+                hit.line,
+                f"nondeterministic value ({hit.kind}) reaches serialization "
+                f"sink {hit.sink}; flow: {' -> '.join(hit.chain)}",
             )
-            chain = " -> ".join(hit.chain)
-            yield Finding(
-                rule=self.code,
-                path=hit.path,
-                line=hit.line,
-                col=1,
-                message=(
-                    f"nondeterministic value ({hit.kind}) reaches serialization "
-                    f"sink {hit.sink}; flow: {chain}"
-                ),
-                source_line=view.source_line(hit.line) if view is not None else "",
+
+
+@register
+class UnorderedIterationRule(Rule):
+    code = "REP002"
+    name = "unordered iteration in an ordered-output module"
+    rationale = (
+        "Canonical forms, codecs, checkpoints, and certificates must be "
+        "byte-identical across processes; set/dict-view iteration order is "
+        "a process artifact and must pass through sorted() first."
+    )
+
+    def finalize(self, project: Project) -> Iterable[Finding]:
+        for site in project.whole_program.order_sites():
+            yield project.finding(
+                self.code,
+                site.path,
+                site.line,
+                f"iterating {site.reason} in an ordered-output module threads "
+                "hash/insertion order into canonical bytes; wrap the iterable "
+                "in sorted(...)",
+                col=site.col,
             )

@@ -7,10 +7,13 @@ if the machinery that produced the verdict plays no part in checking it.
 The producer half (``repro.verify.certify``) is the single declared
 exception, reachable only through lazy PEP 562 attribute access.
 
-This rule builds the static, module-level import graph
-(:mod:`repro.analysis.imports`) and asserts that no checker-half module
-under a ``verify`` package can reach a forbidden module.  Function-level
-imports do not count — they *are* the sanctioned lazy-loading idiom.
+A view over the engine's reach walk
+(:meth:`~repro.analysis.dataflow.WholeProgram.engine_reach`): from every
+checker-half module under a ``verify`` package it follows module-level
+import edges (:mod:`repro.analysis.imports`) and reports the first edge
+of each chain that enters a forbidden module.  Function-level imports
+do not count — they *are* the sanctioned lazy-loading idiom, and the
+call-chain half of the same walk (REP012) covers what they execute.
 
 The dynamic complement is the fresh-interpreter test
 (``tests/test_certificates.py::test_check_certificate_is_engine_free``),
@@ -22,21 +25,9 @@ never touches.  ``tests/test_lint_selfcheck.py`` asserts the two agree.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.analysis.contracts import (
-    CHECKER_PACKAGES,
-    FORBIDDEN_ENGINE_SEGMENTS,
-    PRODUCER_STEMS,
-    is_checker_module,
-    is_engine_module,
-)
 from repro.analysis.core import Finding, Project, Rule, register
-from repro.analysis.imports import ImportGraph
-
-# The frontier definition is shared with REP012 (call-level) through
-# repro.analysis.contracts.
-FORBIDDEN_SEGMENTS = FORBIDDEN_ENGINE_SEGMENTS
 
 
 @register
@@ -51,46 +42,14 @@ class EngineFreeImportRule(Rule):
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
-        graph = ImportGraph.from_project(project)
-        roots: List[str] = [
-            module
-            for module, facts in sorted(project.facts.items())
-            if is_checker_module(module) and not facts.is_scaffolding
-        ]
-        reported = set()
-        for root in roots:
-            chains = graph.reachable_from(root)
-            for reached in sorted(chains):
-                if not is_engine_module(reached):
-                    continue
-                chain = chains[reached]
-                if not chain:  # the root itself is misplaced; skip
-                    continue
-                # Report at the first edge that crosses into forbidden
-                # territory, once per (site, target) pair.
-                offending = next(
-                    edge
-                    for edge in chain
-                    if FORBIDDEN_SEGMENTS & set(edge.imported.split("."))
+        for reach in project.whole_program.engine_reach():
+            if not reach.calls:
+                yield project.finding(
+                    self.code,
+                    reach.path,
+                    reach.line,
+                    f"checker module {reach.root!r} reaches engine module "
+                    f"{reach.target!r} via module-level imports "
+                    f"({' -> '.join(reach.chain)}); move the import into the "
+                    "function that needs it",
                 )
-                key = (offending.path, offending.line)
-                if key in reported:
-                    continue
-                reported.add(key)
-                pretty_chain = " -> ".join([root] + [e.imported for e in chain])
-                ctx = project.by_module.get(offending.importer)
-                finding = Finding(
-                    rule=self.code,
-                    path=offending.path,
-                    line=offending.line,
-                    col=1,
-                    message=(
-                        f"checker module {root!r} reaches engine module "
-                        f"{reached!r} via module-level imports ({pretty_chain}); "
-                        "move the import into the function that needs it"
-                    ),
-                    source_line=(
-                        ctx.source_line(offending.line) if ctx is not None else ""
-                    ),
-                )
-                yield finding

@@ -150,7 +150,6 @@ class FunctionRecord:
     line: int
     name: str
     params: Tuple[str, ...]
-    nested: bool = False
     decorators: Tuple[str, ...] = ()
     return_deps: DepSet = _EMPTY
     calls: List[CallFact] = field(default_factory=list)
@@ -158,6 +157,9 @@ class FunctionRecord:
     env_reads: List[Tuple[str, int]] = field(default_factory=list)
     global_mutations: List[Tuple[str, int]] = field(default_factory=list)
     global_reads: List[Tuple[str, int]] = field(default_factory=list)
+    #: ``(line, col, reason)`` of each iteration over an unordered value
+    #: whose order no order-insensitive builtin launders (REP002).
+    order_sites: List[Tuple[int, int, str]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -167,7 +169,6 @@ class FunctionRecord:
             "line": self.line,
             "name": self.name,
             "params": list(self.params),
-            "nested": self.nested,
             "decorators": list(self.decorators),
             "return_deps": sorted(map(list, self.return_deps)),
             "calls": [c.as_dict() for c in self.calls],
@@ -175,6 +176,7 @@ class FunctionRecord:
             "env_reads": [list(item) for item in self.env_reads],
             "global_mutations": [list(item) for item in self.global_mutations],
             "global_reads": [list(item) for item in self.global_reads],
+            "order_sites": [list(item) for item in self.order_sites],
         }
 
     @classmethod
@@ -186,7 +188,6 @@ class FunctionRecord:
             line=payload["line"],
             name=payload["name"],
             params=tuple(payload["params"]),
-            nested=payload["nested"],
             decorators=tuple(payload["decorators"]),
             return_deps=_depset_from_json(payload["return_deps"]),
             calls=[CallFact.from_dict(c) for c in payload["calls"]],
@@ -194,6 +195,7 @@ class FunctionRecord:
             env_reads=[tuple(item) for item in payload["env_reads"]],
             global_mutations=[tuple(item) for item in payload["global_mutations"]],
             global_reads=[tuple(item) for item in payload["global_reads"]],
+            order_sites=[tuple(item) for item in payload["order_sites"]],
         )
 
 
@@ -256,33 +258,33 @@ def build_file_facts(ctx: FileContext) -> FileFacts:
 
     # First pass: discover every function (so bare-name calls resolve to
     # same-module functions even when defined later in the file).
-    defs: List[Tuple[ast.AST, str, Optional[str], bool]] = []
+    defs: List[Tuple[ast.AST, str, Optional[str]]] = []
 
-    def collect(body: Sequence[ast.stmt], prefix: str, class_name: Optional[str], nested: bool) -> None:
+    def collect(body: Sequence[ast.stmt], prefix: str, class_name: Optional[str]) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 key = f"{prefix}.{node.name}"
-                defs.append((node, key, class_name, nested))
+                defs.append((node, key, class_name))
                 if prefix == ctx.module and class_name is None:
                     module_functions[node.name] = key
-                collect(node.body, key, None, True)
+                collect(node.body, key, None)
             elif isinstance(node, ast.ClassDef):
-                collect(node.body, f"{prefix}.{node.name}", node.name, nested)
+                collect(node.body, f"{prefix}.{node.name}", node.name)
 
-    collect(ctx.tree.body, ctx.module, None, False)
+    collect(ctx.tree.body, ctx.module, None)
 
-    for node, key, class_name, nested in defs:
+    for node, key, class_name in defs:
         analyzer = _FunctionAnalyzer(
             ctx, node, key, class_name, module_functions, mutable_globals, unpicklable_globals
         )
-        records[key] = analyzer.run(nested)
+        records[key] = analyzer.run()
 
     return FileFacts(
         module=ctx.module,
         rel_path=ctx.rel_path,
         is_scaffolding=ctx.is_scaffolding,
         functions=records,
-        import_edges=[(edge.imported, edge.line) for edge in extract_import_edges(ctx)],
+        import_edges=extract_import_edges(ctx),
         mutable_globals=mutable_globals,
         unpicklable_globals=unpicklable_globals,
     )
@@ -366,9 +368,11 @@ class _FunctionAnalyzer:
         self.global_mutations: List[Tuple[str, int]] = []
         self.global_reads: List[Tuple[str, int]] = []
         self._seen_global_reads: Set[str] = set()
+        #: id(For / comprehension owner) -> its unlaundered order sites.
+        self._order_sites: Dict[int, List[Tuple[int, int, str]]] = {}
 
     # -- entry --------------------------------------------------------------
-    def run(self, nested: bool) -> FunctionRecord:
+    def run(self) -> FunctionRecord:
         self._block(self.node.body)
         decorators = []
         for dec in self.node.decorator_list:
@@ -383,7 +387,6 @@ class _FunctionAnalyzer:
             line=self.node.lineno,
             name=self.node.name,
             params=self.params,
-            nested=nested,
             decorators=tuple(decorators),
             return_deps=frozenset(self.return_deps),
             calls=self.calls,
@@ -391,6 +394,9 @@ class _FunctionAnalyzer:
             env_reads=self.env_reads,
             global_mutations=self.global_mutations,
             global_reads=self.global_reads,
+            order_sites=sorted(
+                {site for sites in self._order_sites.values() for site in sites}
+            ),
         )
 
     # -- statements ---------------------------------------------------------
@@ -417,14 +423,8 @@ class _FunctionAnalyzer:
             target_deps = set(_iterated(iter_deps))
             unordered = _first_unordered(iter_deps)
             if unordered is not None:
-                target_deps.add(
-                    (
-                        "taint",
-                        contracts.TAINT_ORDER,
-                        stmt.iter.lineno,
-                        "iterating an unordered value",
-                    )
-                )
+                target_deps.add(_iteration_taint(stmt.iter))
+                self._order_site(stmt, stmt.iter, stmt.col_offset, unordered)
             self._assign(stmt.target, frozenset(target_deps), augmented=False)
             self._block(stmt.body)
             self._block(stmt.orelse)
@@ -505,6 +505,7 @@ class _FunctionAnalyzer:
             return inner | {("unordered", node.lineno, "a set literal")}
         if isinstance(node, ast.SetComp):
             inner = self._comprehension_deps(node, [node.elt])
+            self._order_sites.pop(id(node), None)  # a set has no order to leak
             return _drop_order(inner) | {("unordered", node.lineno, "a set comprehension")}
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
             # A sequence's order comes from its generators: elements that
@@ -566,14 +567,10 @@ class _FunctionAnalyzer:
             target_deps = set(_iterated(iter_deps))
             unordered = _first_unordered(iter_deps)
             if unordered is not None:
-                taint = (
-                    "taint",
-                    contracts.TAINT_ORDER,
-                    gen.iter.lineno,
-                    "iterating an unordered value",
-                )
+                taint = _iteration_taint(gen.iter)
                 target_deps.add(taint)
                 deps.add(taint)
+                self._order_site(node, gen.iter, gen.iter.col_offset, unordered)
             self._assign(gen.target, frozenset(target_deps), augmented=False)
             deps |= iter_deps
             for cond in gen.ifs:
@@ -597,6 +594,8 @@ class _FunctionAnalyzer:
 
         # --- order-insensitive builtins launder order taint.
         if isinstance(func, ast.Name) and func.id in contracts.ORDER_INSENSITIVE_SINKS:
+            for arg in node.args:  # e.g. sorted(x for x in s): order laundered
+                self._order_sites.pop(id(arg), None)
             laundered = _drop_order(frozenset(all_args))
             if func.id in ("set", "frozenset"):
                 return laundered | {("unordered", line, f"a {func.id}()")}
@@ -691,6 +690,16 @@ class _FunctionAnalyzer:
             result |= self._deps(func.value)
         return frozenset(result)
 
+    def _order_site(self, owner: ast.AST, iterable: ast.expr, col: int, unordered: Dep) -> None:
+        """Record a REP002 site: ``owner`` (a ``for`` or a comprehension)
+        iterates ``iterable``, whose value is the ``unordered`` dep."""
+        _, line, reason = unordered
+        if line != iterable.lineno:
+            reason = f"{reason} (built at line {line})"
+        self._order_sites.setdefault(id(owner), []).append(
+            (iterable.lineno, col + 1, reason)
+        )
+
     def _source_taint(self, node: ast.Call, qualname: Optional[str]) -> Optional[Dep]:
         line = node.lineno
         if qualname is None:
@@ -741,6 +750,15 @@ class _FunctionAnalyzer:
         if isinstance(func, ast.Attribute) and len(receiver_parts) >= 2:
             return contracts.sink_method_receiver(receiver_parts[:-1], func.attr)
         return None
+
+
+#: Description of the order taint an iteration creates; the engine keys
+#: REP002 sites on it to leave their same-file flows out of REP010.
+ITERATION_TAINT = "iterating an unordered value"
+
+
+def _iteration_taint(iterable: ast.expr) -> Dep:
+    return ("taint", contracts.TAINT_ORDER, iterable.lineno, ITERATION_TAINT)
 
 
 def _first_unordered(deps: DepSet) -> Optional[Dep]:

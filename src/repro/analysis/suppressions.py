@@ -108,9 +108,6 @@ class Suppressions:
             return FILE_DIRECTIVE_LINE
         return None
 
-    def is_suppressed(self, code: str, line: int) -> bool:
-        return self.match(code, line) is not None
-
     def directive_keys(self) -> List[Tuple[int, str]]:
         """Every ``(line, code)`` pair a directive declares, whole-file
         directives under :data:`FILE_DIRECTIVE_LINE`."""
@@ -121,10 +118,6 @@ class Suppressions:
         ]
         keys.extend((FILE_DIRECTIVE_LINE, code) for code in self.whole_file)
         return sorted(keys)
-
-    @property
-    def total_directives(self) -> int:
-        return len(self.by_line) + (1 if self.whole_file else 0)
 
     # -- cache serialization ------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:

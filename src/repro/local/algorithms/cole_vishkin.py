@@ -32,10 +32,11 @@ PREDECESSOR = "p"
 
 
 def orient_path_inputs(graph: Graph) -> HalfEdgeLabeling:
-    """Orientation inputs for a path/cycle given in index order.
+    """Orientation inputs for paths/cycles given in index order.
 
-    Node ``i``'s successor is node ``i + 1`` (wrapping on cycles); raises
-    if the graph is not a disjoint union of paths and cycles.
+    Node ``i``'s successor is node ``i + 1``; each cycle component wraps
+    from its last node to its first.  Raises if the graph is not a
+    disjoint union of paths and cycles.
     """
     labeling = HalfEdgeLabeling(graph)
     for v in range(graph.num_nodes):
@@ -43,7 +44,9 @@ def orient_path_inputs(graph: Graph) -> HalfEdgeLabeling:
             raise AlgorithmError("orient_path_inputs expects max degree 2")
         for port in range(graph.degree(v)):
             u = graph.neighbor(v, port)
-            successor = u == v + 1 or (u == 0 and v == graph.num_nodes - 1 and graph.degree(v) == 2)
+            # In index order the only non-consecutive edge of a component
+            # closes its cycle; its far (lower) end is the successor.
+            successor = u == v + 1 or u < v - 1
             labeling[(v, port)] = SUCCESSOR if successor else PREDECESSOR
     return labeling
 

@@ -715,9 +715,9 @@ class TestLintSelfCheck:
     """CI satellite: the compiled module itself passes REP002."""
 
     def test_bitset_module_is_order_audited(self):
-        from repro.analysis.rules import ordering
+        from repro.analysis import contracts
 
-        assert "bitset" in ordering.ORDERED_OUTPUT_STEMS
+        assert "bitset" in contracts.ORDERED_OUTPUT_STEMS
 
     def test_bitset_module_passes_repro_lint(self):
         import pathlib

@@ -14,9 +14,11 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.analysis import cache as lint_cache
 from repro.analysis import run_lint
 from repro.analysis.cache import LintCache, compute_salt
 from repro.analysis.report import render_json, render_sarif, render_text
+from repro.analysis.suppressions import Suppressions
 
 BARE_EXCEPT = "def f():\n    try:\n        return 1\n    except:\n        return 2\n"
 
@@ -91,6 +93,32 @@ class TestWarmReplay:
             f.fingerprint for f in warm.findings
         ]
 
+    def test_warm_run_reads_suppressions_from_the_cache(self, tmp_path, monkeypatch):
+        """A fully warm run tokenizes nothing: the directives come back
+        with each record, and the suppression verdicts match the cold
+        run's."""
+        files = {
+            **TAINT_FILES,
+            "pkg/stale.py": "X = 1  # repro-lint: disable=REP007 -- silences nothing\n",
+        }
+        write_tree(tmp_path, files)
+        cold = lint(tmp_path)
+        scans = []
+        scan = Suppressions.scan.__func__
+
+        def counting_scan(cls, source):
+            scans.append(source)
+            return scan(cls, source)
+
+        monkeypatch.setattr(Suppressions, "scan", classmethod(counting_scan))
+        warm = lint(tmp_path)
+        assert warm.cache_hits == len(files)
+        assert scans == []
+        assert warm.findings == cold.findings
+        assert warm.suppressed == cold.suppressed == 1
+        assert warm.unused_suppressions == cold.unused_suppressions
+        assert [u.code for u in warm.unused_suppressions] == ["REP007"]
+
     def test_parse_error_is_cached(self, tmp_path):
         write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/broken.py": "def f(:\n"})
         cold = lint(tmp_path)
@@ -131,6 +159,30 @@ class TestInvalidation:
         warm = lint(tmp_path)
         assert warm.cache_hits == 0
         assert render_text(cold) == render_text(warm)
+
+    def test_record_from_an_older_analysis_version_is_a_miss(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/mod.py": BARE_EXCEPT})
+        current = lint_cache.ANALYSIS_VERSION
+        monkeypatch.setattr(lint_cache, "ANALYSIS_VERSION", current - 1)
+        lint(tmp_path)
+        monkeypatch.setattr(lint_cache, "ANALYSIS_VERSION", current)
+        result = lint(tmp_path)
+        assert result.cache_hits == 0 and result.cache_misses == 2
+
+    def test_record_in_an_older_format_is_a_miss(self, tmp_path):
+        """A v1 record (no suppressions) never replays: neither under
+        its own format marker nor relabelled as the current one."""
+        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/mod.py": BARE_EXCEPT})
+        cold = lint(tmp_path)
+        for marker in ("repro-lint-cache-v1", lint_cache._FORMAT):
+            for record in (tmp_path / "lint-cache").glob("*.json"):
+                payload = json.loads(record.read_text(encoding="utf-8"))
+                payload["format"] = marker
+                payload.pop("suppressions", None)
+                record.write_text(json.dumps(payload), encoding="utf-8")
+            result = lint(tmp_path)
+            assert result.cache_hits == 0 and result.cache_misses == 2
+            assert render_text(result) == render_text(cold)
 
     def test_clear_removes_every_record(self, tmp_path):
         write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/mod.py": BARE_EXCEPT})

@@ -153,9 +153,10 @@ class TestReporters:
 
     def test_rule_list_names_every_registered_rule(self):
         listing = render_rule_list()
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                     "REP006", "REP007", "REP008", "REP009"):
+        for code in ("REP001", "REP002", "REP003", "REP005", "REP006",
+                     "REP007", "REP008", "REP009", "REP010", "REP011", "REP012"):
             assert code in listing
+        assert "REP004" not in listing
 
     def test_syntax_error_becomes_rep000_finding(self, tmp_path):
         write(tmp_path, "mod.py", "def broken(:\n")

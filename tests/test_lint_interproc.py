@@ -7,8 +7,8 @@ asserts both halves of the claim:
 
 * REP010 reports it, anchored at the sink line, with the full witness
   chain naming every module it crossed;
-* the single-pass rules (REP002 among them) report **nothing** on the
-  same tree, proving the flow is invisible without whole-program
+* every other rule (REP002 among them) reports **nothing** on the
+  same tree, proving the flow is invisible without interprocedural
   propagation.
 """
 
@@ -93,10 +93,10 @@ class TestDeepTaintFlow:
 
     def test_single_pass_rules_provably_miss_it(self, tmp_path):
         """Every hop is innocent in isolation: with REP010 disabled, the
-        remaining (single-pass) rules report nothing — REP002 never sees
-        a set in the codec module, REP001 exempts nothing here because
-        the RNG call is flagged... unless the fixture hides it the way
-        real code does."""
+        remaining rules report nothing — REP002 never sees a set in the
+        codec module, REP001 exempts nothing here because the RNG call
+        is flagged... unless the fixture hides it the way real code
+        does."""
         write_tree(tmp_path, DEEP_FLOW)
         result = lint(tmp_path, disable=["REP010", "REP001"])
         # REP001 would flag the bare random.random() *at its origin*;
@@ -108,6 +108,37 @@ class TestDeepTaintFlow:
         write_tree(tmp_path, DEEP_FLOW)
         result = lint(tmp_path, select=["REP002"])
         assert result.findings == []
+
+    def test_same_file_set_order_flow_is_left_to_rep002(self, tmp_path):
+        """REP002 is the zero-hop case: a set-order flow born at its site
+        and sunk in the same file is reported once, at the iteration;
+        the same value sunk in another file is still REP010's."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/codec.py": """
+                    def encode_row(row):
+                        return repr(row).encode()
+
+                    def keys_of(table):
+                        return [key for key in table.keys()]
+
+                    def publish(table):
+                        return encode_row(keys_of(table))
+                """,
+                "pkg/app.py": """
+                    from pkg.codec import encode_row, keys_of
+
+                    def export(table):
+                        return encode_row(keys_of(table))
+                """,
+            },
+        )
+        result = lint(tmp_path)
+        assert [(f.rule, f.path, f.line) for f in result.findings] == [
+            ("REP010", "pkg/app.py", 5),
+            ("REP002", "pkg/codec.py", 6),
+        ]
 
     def test_set_order_taint_through_returns(self, tmp_path):
         """Order taint born by materializing a helper's set return two
@@ -616,6 +647,34 @@ class TestEngineFreeCalls:
         )
         result = lint(tmp_path, select=["REP012"])
         assert result.findings == []
+
+
+    def test_import_and_call_crossings_come_from_one_walk(self, tmp_path):
+        """REP003 and REP012 are two readings of one reach walk: a
+        module-level import chain and a call chain into the engine, from
+        the same checker module, each surface under their own code."""
+        write_tree(
+            tmp_path,
+            {
+                "roundelim/ops.py": """
+                    def apply_round(problem):
+                        return problem
+                """,
+                "verify/checker.py": """
+                    import roundelim.ops
+
+                    def check_certificate(cert):
+                        return roundelim.ops.apply_round(cert) == cert
+                """,
+            },
+        )
+        result = lint(tmp_path, select=["REP003", "REP012"])
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("REP003", 2),
+            ("REP012", 5),
+        ]
+        for finding in result.findings:
+            assert "roundelim" in finding.message
 
 
 # ------------------------------------------------------- engine internals

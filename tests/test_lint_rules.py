@@ -112,6 +112,29 @@ class TestUnorderedIteration:
         )
         assert findings == []
 
+    def test_variable_holding_a_set_fires(self, tmp_path):
+        """The iterable is judged by its dataflow, not its spelling."""
+        findings = lint_file(
+            tmp_path,
+            "codec.py",
+            """
+            def encode(x):
+                pool = set(x)
+                return [a for a in pool]
+            """,
+        )
+        assert codes(findings) == ["REP002"]
+        assert findings[0].line == 4
+        assert "built at line 3" in findings[0].message
+
+    def test_building_a_set_from_a_set_is_silent(self, tmp_path):
+        findings = lint_file(
+            tmp_path,
+            "codec.py",
+            "def encode(x):\n    return sorted({a for a in set(x)})\n",
+        )
+        assert findings == []
+
     def test_out_of_scope_module_is_silent(self, tmp_path):
         findings = lint_file(
             tmp_path,
@@ -197,58 +220,6 @@ class TestEngineFreeImports:
             },
         )
         assert findings == []
-
-
-# ------------------------------------------------------------------- REP004
-class TestPoolCallables:
-    def test_lambda_submission_fires(self, tmp_path):
-        findings = lint_file(
-            tmp_path,
-            "mod.py",
-            """
-            def run(pool, items):
-                return [pool.submit(lambda x: x + 1, item) for item in items]
-            """,
-        )
-        assert codes(findings) == ["REP004"]
-
-    def test_nested_function_fires(self, tmp_path):
-        findings = lint_file(
-            tmp_path,
-            "mod.py",
-            """
-            def run(pool, items):
-                def work(item):
-                    return item + 1
-                return pool.submit(work, items)
-            """,
-        )
-        assert codes(findings) == ["REP004"]
-
-    def test_module_level_worker_is_silent(self, tmp_path):
-        findings = lint_file(
-            tmp_path,
-            "mod.py",
-            """
-            def work(item):
-                return item + 1
-
-            def run(pool, items):
-                return pool.submit(work, items)
-            """,
-        )
-        assert findings == []
-
-    def test_apply_async_lambda_worker_fires(self, tmp_path):
-        findings = lint_file(
-            tmp_path,
-            "mod.py",
-            """
-            def go(pool, chunks):
-                return [pool.apply_async(lambda c: c, (chunk,)) for chunk in chunks]
-            """,
-        )
-        assert codes(findings) == ["REP004"]
 
 
 # ------------------------------------------------------------------- REP005

@@ -194,9 +194,9 @@ class TestLintSelfCheck:
         # Modules named ``encode`` emit ordered output and stay inside
         # the REP002 audit (the REP010 fixtures of test_lint_interproc
         # plant a ``pkg/encode.py`` that relies on it).
-        from repro.analysis.rules import ordering
+        from repro.analysis import contracts
 
-        assert "encode" in ordering.ORDERED_OUTPUT_STEMS
+        assert "encode" in contracts.ORDERED_OUTPUT_STEMS
 
     def test_refute_module_stays_engine_free(self):
         # REP003: the checker half of repro.verify must not reach the

@@ -319,7 +319,6 @@ class TestChainColeVishkinSharedMatchesPerNode:
         assert takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
 
     def test_disjoint_union_with_isolated_nodes(self):
-        # orient_path_inputs orients a cycle only when it is the whole graph.
         graph = disjoint_union([path(5), Graph(1), path(7), Graph(2), path(14)])
         ids = random_ids(graph, seed=12)
         record = assert_same(run_chain(graph, ids))
@@ -328,6 +327,26 @@ class TestChainColeVishkinSharedMatchesPerNode:
         assert takes_shared_path(
             graph, ChainColeVishkin(), ids, inputs=orient_path_inputs(graph)
         )
+
+
+    def test_disjoint_union_of_cycles_is_oriented(self):
+        # Every cycle component wraps from its last node to its first,
+        # not only a cycle that is the whole graph.
+        graph = disjoint_union([cycle(5), Graph(1), cycle(13), path(4), cycle(3)])
+        inputs = orient_path_inputs(graph)
+        successors = {
+            v: [graph.neighbor(v, p) for p in range(graph.degree(v)) if inputs[(v, p)] == SUCCESSOR]
+            for v in range(graph.num_nodes)
+        }
+        # Node 5 is isolated and node 22 ends the path; every other node,
+        # each cycle node included, has exactly one successor.
+        assert successors[5] == successors[22] == []
+        assert all(len(successors[v]) == 1 for v in successors if v not in (5, 22))
+        assert [successors[v] for v in (4, 18, 25)] == [[0], [6], [23]]
+        ids = random_ids(graph, seed=6)
+        record = assert_same(run_chain(graph, ids))
+        assert record[0] == "result"
+        assert takes_shared_path(graph, ChainColeVishkin(), ids, inputs=inputs)
 
 
 class TestChainColeVishkinFallback:
